@@ -27,10 +27,12 @@ clauses survive for the next evaluation pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
-from .program import CUT, Cut, Program, parse_program, parse_query
+from .program import CUT, Cut, PredKey, Program, parse_program, parse_query
 from .tables import Table, TableStore
 from .terms import (
     Const,
@@ -206,13 +208,29 @@ class TPEngine:
         # per clause: cut-free body, (position, name) of constant head args
         # for cheap mismatch rejection, and whether the clause is ground
         self._clause_info: dict[int, tuple[tuple, tuple, bool]] = {}
-        for cl in program.clauses:
-            rest = tuple(b for b in cl.body if not isinstance(b, Cut))
-            const_pos = tuple(
-                (i, a.name) for i, a in enumerate(cl.head.args) if isinstance(a, Const)
-            )
-            ground = not vars_of((cl.head,) + rest)
-            self._clause_info[id(cl)] = (rest, const_pos, ground)
+        # first-argument index, per predicate: the positions of the clauses
+        # whose first head argument is a given constant, and of those whose
+        # first head argument is not a constant (these match any constant)
+        self._const_first: dict[PredKey, dict[str, list[int]]] = {}
+        self._open_first: dict[PredKey, list[int]] = {}
+        # both merged, per (predicate, constant) called so far
+        self._candidates: dict[tuple[PredKey, str], list[int]] = {}
+        for key, clauses in program.by_predicate.items():
+            by_const: dict[str, list[int]] = {}
+            open_: list[int] = []
+            for i, cl in enumerate(clauses):
+                rest = tuple(b for b in cl.body if not isinstance(b, Cut))
+                const_pos = tuple(
+                    (j, a.name) for j, a in enumerate(cl.head.args) if isinstance(a, Const)
+                )
+                ground = not vars_of((cl.head,) + rest)
+                self._clause_info[id(cl)] = (rest, const_pos, ground)
+                if const_pos and const_pos[0][0] == 0:
+                    by_const.setdefault(const_pos[0][1], []).append(i)
+                else:
+                    open_.append(i)
+            self._const_first[key] = by_const
+            self._open_first[key] = open_
 
     # -- bookkeeping -------------------------------------------------
 
@@ -237,6 +255,18 @@ class TPEngine:
 
     def _clauses_for(self, atom: Struct):
         return self.program.by_predicate.get((atom.functor, len(atom.args)), ())
+
+    def _first_arg_candidates(self, key: PredKey, name: str) -> list[int]:
+        """Positions, in textual order, of the clauses of ``key`` whose
+        first head argument can match the constant ``name``."""
+        cands = self._candidates.get((key, name))
+        if cands is None:
+            same = self._const_first.get(key, {}).get(name, [])
+            open_ = self._open_first.get(key, [])
+            # two sorted runs: timsort merges them in linear time
+            cands = sorted(same + open_) if same and open_ else same or open_
+            self._candidates[(key, name)] = cands
+        return cands
 
     # -- resolution --------------------------------------------------
 
@@ -311,14 +341,8 @@ class TPEngine:
         if tbl.comp:
             return self._backtrack(node)
 
-        if node.anc == -1:
-            variants = [n for n in head.anc if n.table is tbl]
-            if not variants:
-                node.anc = 0
-            else:
-                top = max(variants, key=lambda n: n.id)
-                path = [n for n in head.anc if n.id >= top.id] + [node]
-                self._nodetype_update(path, top.current_clause, rerun=False)
+        if node.anc == -1 and not self._ancestor_variant(node, head, rerun=False):
+            node.anc = 0
 
         if node.anc == 0:
             while True:
@@ -351,25 +375,39 @@ class TPEngine:
                 return child
             # exhausted under an ancestor variant: re-check the loop flags,
             # since intervening cuts may have reshaped the path
-            variants = [n for n in head.anc if n.table is tbl]
-            if variants:
-                top = max(variants, key=lambda n: n.id)
-                path = [n for n in head.anc if n.id >= top.id] + [node]
-                self._nodetype_update(path, top.current_clause, rerun=True)
+            self._ancestor_variant(node, head, rerun=True)
             return self._backtrack(node)
+
+    def _ancestor_variant(self, node: Node, head: GoalAtom, rerun: bool) -> bool:
+        """Find the nearest ancestor call sharing the node's table and, if
+        there is one, reflag the loop path from it down to the node."""
+        anc = head.anc
+        # ancestors run root first, so the last variant is the nearest
+        for k in range(len(anc) - 1, -1, -1):
+            top = anc[k]
+            if top.table is node.table:
+                self._nodetype_update([*anc[k:], node], top.current_clause, rerun)
+                return True
+        return False
 
     def _clause_child(self, node: Node, head: GoalAtom, tabled: bool, min_ord: int) -> Node | None:
         atom = head.atom
-        clauses = self._clauses_for(atom)
-        tbl = node.table
         args = atom.args
-        i = node.clause_ptr
-        while i < len(clauses):
+        key = (atom.functor, len(args))
+        clauses = self.program.by_predicate.get(key, ())
+        tbl = node.table
+        # clauses at positions below min_ord have ordinals up to min_ord
+        start = max(node.clause_ptr, min_ord)
+        if args and type(args[0]) is Const:
+            # first-argument indexing: skip only clauses the const_pos
+            # check below would reject, so the trace is the same
+            cands = self._first_arg_candidates(key, args[0].name)
+            positions = islice(cands, bisect_left(cands, start), None)
+        else:
+            positions = range(start, len(clauses))
+        for i in positions:
             cl = clauses[i]
-            i += 1
-            if cl.ordinal <= min_ord:
-                continue
-            if tabled and not tbl.clause_status[cl.ordinal - 1]:
+            if tabled and not tbl.clause_status[i]:
                 continue
             rest, const_pos, ground = self._clause_info[id(cl)]
             for pos, cname in const_pos:
@@ -389,7 +427,7 @@ class TPEngine:
                     if theta is None:
                         continue
                     rest2 = rename_apart(rest, self._fresh, mapping)
-                node.clause_ptr = i
+                node.clause_ptr = i + 1
                 node.current_clause = cl.ordinal
 
                 child_anc = head.anc + (node,) if tabled else ()
@@ -407,7 +445,7 @@ class TPEngine:
                                           ord=cl.ordinal, anc=node.anc)
                 items = tuple(body) + _subst_prefix(node.items[1:], theta)
                 return self._register(items, node, "clause", clause=cl.label, ord=cl.ordinal)
-        node.clause_ptr = i
+        node.clause_ptr = len(clauses)
         return None
 
     def _nodetype_update(self, path: list[Node], j: int, rerun: bool) -> None:

@@ -251,18 +251,15 @@ def parse_program(text: str) -> Program:
         p.expect("punct", ".")
         raw.append((head, body))
 
-    counts: dict[PredKey, int] = {}
     clauses: list[Clause] = []
+    grouped: dict[PredKey, list[Clause]] = {}
     for head, body in raw:
-        key = (head.functor, len(head.args))
-        counts[key] = counts.get(key, 0) + 1
-        n = counts[key]
-        clauses.append(Clause(head, body, n, f"{head.functor}{n}"))
-
-    by_pred: dict[PredKey, tuple[Clause, ...]] = {}
-    for c in clauses:
-        by_pred.setdefault(c.pred, ())
-        by_pred[c.pred] = by_pred[c.pred] + (c,)
+        group = grouped.setdefault((head.functor, len(head.args)), [])
+        n = len(group) + 1
+        c = Clause(head, body, n, f"{head.functor}{n}")
+        group.append(c)
+        clauses.append(c)
+    by_pred = {key: tuple(cs) for key, cs in grouped.items()}
 
     prog = Program(tuple(clauses), by_pred, frozenset(declared), frozenset())
     tabled = classify_tabled(prog) | frozenset(declared)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .terms import Struct, Term, canonicalize, format_term, format_tuple, vars_of
 
-__all__ = ["Table", "TableStore", "lookup"]
+__all__ = ["Table", "TableStore"]
 
 
 class Table:
@@ -49,14 +49,6 @@ class TableStore:
 
     def get(self, subgoal: Struct) -> Table | None:
         return self.tables.get(canonicalize(subgoal))
-
-    def create(self, subgoal: Struct, n_clauses: int) -> Table:
-        key = canonicalize(subgoal)
-        if key in self.tables:
-            raise ValueError(f"table already exists for {format_term(key)}")
-        t = Table(key, n_clauses)
-        self.tables[key] = t
-        return t
 
     def get_or_create(self, subgoal: Struct, n_clauses: int) -> tuple[Table, bool]:
         key = canonicalize(subgoal)
@@ -91,13 +83,3 @@ class TableStore:
             )
         return lines
 
-
-def lookup(table: Table, cursor: int) -> tuple[tuple[Term, ...] | None, int]:
-    """Next unconsumed answer under a caller-held cursor.
-
-    Answers are consumed first-generated-first; a cursor that ran dry simply
-    picks up again after the table grows.
-    """
-    if cursor < len(table.answers):
-        return table.answers[cursor], cursor + 1
-    return None, cursor

@@ -28,7 +28,6 @@ __all__ = [
     "apply",
     "apply_tuple",
     "unify",
-    "compose",
     "canonicalize",
     "is_variant",
     "rename_apart",
@@ -236,22 +235,6 @@ def unify(a: Term, b: Term, subst: Subst | None = None, occurs_check: bool = Fal
         else:
             stack.extend(zip(x.args, y.args))
     return s
-
-
-def compose(s1: Subst, s2: Subst) -> Subst:
-    """Composition: applying the result equals applying s1 then s2.
-
-    Identity bindings are dropped so no variable ever maps to itself.
-    """
-    out: Subst = {}
-    for v, t in s1.items():
-        t2 = apply(t, s2)
-        if t2 != v:
-            out[v] = t2
-    for v, t in s2.items():
-        if v not in s1:
-            out[v] = t
-    return out
 
 
 def canonicalize(x):

@@ -1,8 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lintab.engine import StepBudgetExceeded, TPEngine, tp_solve
 from lintab.program import parse_program, parse_query
-from lintab.terms import Const, CyclicTermError, canonicalize, format_tuple
+from lintab.terms import (
+    Const,
+    CyclicTermError,
+    FreshVars,
+    canonicalize,
+    format_tuple,
+    rename_apart,
+    unify,
+)
 from lintab.trace import check_clause_skip, check_stack_discipline
 
 
@@ -201,3 +210,77 @@ def test_occurs_check_option():
 def test_each_answer_has_an_event(load):
     r = tp_solve(load("p1.pl"), "reach(a,X)")
     assert sum(1 for e in r.engine.events if e.kind == "answer") == len(r.answers)
+
+
+# -- first-argument indexing ----------------------------------------------
+# Indexing may skip only clauses whose head cannot match the call, so the
+# clauses a call expands are exactly those whose renamed head unifies.
+
+FIRST_ARGS = ["a", "b", "c", "X", "f(a)", "f(b)", "f(X)"]
+clause_shapes = st.lists(
+    st.tuples(st.sampled_from(FIRST_ARGS), st.sampled_from(["a", "b", "X", "Y"]), st.booleans()),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(deadline=None)
+@given(clause_shapes, st.sampled_from(["a", "d", "X", "f(a)", "f(X)"]),
+       st.sampled_from(["Y", "a"]))
+def test_indexing_expands_exactly_the_unifiable_clauses(shapes, first, second):
+    lines = ["q(a).", "q(b)."]
+    lines += [f"p({f},{s})" + (f" :- q({s})." if rule else ".") for f, s, rule in shapes]
+    program = parse_program("\n".join(lines))
+    (call,), _ = parse_query(f"p({first},{second})")
+    r = tp_solve(program, (call,))
+    expanded = [e.get("ord") for e in r.engine.events
+                if e.kind == "expand" and e.get("source") == "clause" and e.get("parent") == 0]
+    fresh = FreshVars(1000)
+    assert expanded == [c.ordinal for c in program.by_predicate[("p", 2)]
+                        if unify(call, rename_apart(c.head, fresh)) is not None]
+
+
+MIXED_FIRST_ARGS = """
+go(X,Y) :- first(X), pick(X,Y), check(Y).
+first(a).
+first(b).
+pick(a,one).
+pick(X,any).
+pick(b,two).
+pick(a,three) :- !.
+pick(X,late).
+pick(f(a),fun).
+check(one).
+check(any).
+check(three).
+check(late).
+"""
+
+
+def test_indexing_keeps_order_cut_and_resume_point():
+    r = tp_solve(MIXED_FIRST_ARGS, "go(X,Y)")
+    assert answers_of(r) == ["(a,one)", "(a,any)", "(a,three)", "(b,any)", "(b,late)"]
+    # pick(a,Y) resumes after pick1 and pick2, skips pick3, and its cut in
+    # pick4 prunes pick5; pick(b,Y) never reaches pick4 or pick6
+    assert [(e.get("clause"), e.get("ord")) for e in r.engine.events
+            if e.kind == "expand" and e.get("source") == "clause"] == [
+        ("go1", 1), ("first1", 1), ("pick1", 1), ("check1", 1), ("pick2", 2),
+        ("check2", 2), ("pick4", 4), ("check3", 3), ("first2", 2), ("pick2", 2),
+        ("check2", 2), ("pick3", 3), ("pick5", 5), ("check4", 4),
+    ]
+    assert_clean_trace(r)
+
+
+def graph_program(n, rule, cycle):
+    edges = [f"edge(n{i},n{(i + 1) % n if cycle else i + 1})." for i in range(n)]
+    return "\n".join([":- table reach/2.", rule, "reach(X,X).", *edges]) + "\n"
+
+
+@pytest.mark.parametrize("rule, cycle, steps, events, answers", [
+    ("reach(X,Y) :- reach(X,Z), edge(Z,Y).", False, 462, 823, 51),
+    ("reach(X,Y) :- edge(X,Z), reach(Z,Y).", True, 10_850, 26_058, 50),
+])
+def test_graph_counts_are_pinned(rule, cycle, steps, events, answers):
+    r = tp_solve(graph_program(50, rule, cycle), "reach(n0,Y)")
+    assert r.status == "complete"
+    assert (r.engine._steps, len(r.engine.events), len(r.answers)) == (steps, events, answers)

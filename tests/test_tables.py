@@ -1,6 +1,4 @@
-import pytest
-
-from lintab.tables import TableStore, lookup
+from lintab.tables import TableStore
 from lintab.terms import Const, Struct, Var
 
 X, Y = Var(0, "X"), Var(1, "Y")
@@ -13,16 +11,18 @@ def call(*args):
 
 def test_tables_share_across_variants():
     store = TableStore()
-    t = store.create(call(X, Y), 3)
+    t = store.get_or_create(call(X, Y), 3)[0]
     assert store.get(call(Var(9, "U"), Var(8, "V"))) is t
     assert store.get(call(X, X)) is None
 
 
-def test_create_twice_fails():
+def test_variant_call_keeps_the_existing_table():
     store = TableStore()
-    store.create(call(X), 1)
-    with pytest.raises(ValueError):
-        store.create(call(Y), 1)
+    t = store.get_or_create(call(X), 1)[0]
+    store.memo(t, (a,))
+    again, created = store.get_or_create(call(Y), 1)
+    assert again is t and not created
+    assert again.answers == [(a,)]
 
 
 def test_get_or_create():
@@ -35,7 +35,7 @@ def test_get_or_create():
 
 def test_memo_appends_and_dedups_variants():
     store = TableStore()
-    t = store.create(call(X, Y), 1)
+    t = store.get_or_create(call(X, Y), 1)[0]
     assert store.memo(t, (a, Var(5, "W")))
     assert not store.memo(t, (a, Var(7, "Q")))
     assert store.memo(t, (a, b))
@@ -45,7 +45,7 @@ def test_memo_appends_and_dedups_variants():
 
 def test_memo_flags():
     store = TableStore()
-    t = store.create(call(X), 1)
+    t = store.get_or_create(call(X), 1)[0]
     assert not store.new_flag
     store.memo(t, (a,))
     assert store.new_flag
@@ -57,7 +57,7 @@ def test_memo_flags():
 
 def test_unit_answer_completes_table():
     store = TableStore()
-    t = store.create(call(X, Y), 1)
+    t = store.get_or_create(call(X, Y), 1)[0]
     store.memo(t, (a, b))
     assert not t.comp
     store.memo(t, (Var(3, "U"), Var(4, "V")))
@@ -66,42 +66,29 @@ def test_unit_answer_completes_table():
 
 def test_ground_subgoal_completes_on_empty_tuple():
     store = TableStore()
-    t = store.create(call(a), 2)
+    t = store.get_or_create(call(a), 2)[0]
     store.memo(t, ())
     assert t.comp
     assert t.answers == [()]
 
 
 def test_clause_status_starts_open():
-    t = TableStore().create(call(X), 4)
+    t = TableStore().get_or_create(call(X), 4)[0]
     assert t.clause_status == [1, 1, 1, 1]
 
 
 def test_dump_format():
     store = TableStore()
-    t = store.create(call(X, a), 3)
+    t = store.get_or_create(call(X, a), 3)[0]
     store.memo(t, (b,))
     t.clause_status[1] = 0
     t.comp = True
     assert store.dump() == ["TB(p(_0,a)): answers=[(b)] status=[1,0,1] comp=1"]
 
 
-def test_lookup_cursor():
-    store = TableStore()
-    t = store.create(call(X), 1)
-    store.memo(t, (a,))
-    ans, cur = lookup(t, 0)
-    assert ans == (a,) and cur == 1
-    ans, cur = lookup(t, 1)
-    assert ans is None and cur == 1
-    store.memo(t, (b,))
-    ans, cur = lookup(t, 1)
-    assert ans == (b,) and cur == 2
-
-
 def test_answers_are_append_only_in_order():
     store = TableStore()
-    t = store.create(call(X), 1)
+    t = store.get_or_create(call(X), 1)[0]
     for c in ("c", "a", "b"):
         store.memo(t, (Const(c),))
     assert [x[0].name for x in t.answers] == ["c", "a", "b"]

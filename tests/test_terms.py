@@ -10,7 +10,6 @@ from lintab.terms import (
     apply,
     apply_tuple,
     canonicalize,
-    compose,
     format_term,
     format_tuple,
     is_variant,
@@ -97,12 +96,6 @@ def test_unify_occurs_check():
         apply(X, s)
 
 
-def test_compose_drops_identities():
-    s = compose({X: Y}, {Y: X})
-    assert X not in s
-    assert s[Y] == X
-
-
 # -- canonical form and renaming ---------------------------------------
 
 
@@ -159,11 +152,6 @@ terms = st.recursive(
     ),
     max_leaves=6,
 )
-bindings = st.dictionaries(
-    st.builds(Var, st.integers(min_value=0, max_value=3), st.just("V")),
-    consts,
-    max_size=3,
-)
 
 
 @given(terms)
@@ -183,8 +171,3 @@ def test_unify_produces_a_unifier(t1, t2):
     s = unify(t1, t2, occurs_check=True)
     if s is not None:
         assert apply(t1, s) == apply(t2, s)
-
-
-@given(terms, bindings, bindings)
-def test_compose_law(t, s1, s2):
-    assert apply(t, compose(s1, s2)) == apply(apply(t, s1), s2)
