@@ -50,14 +50,22 @@ def _print_answer(names: list[str], values, out) -> None:
     out.write(", ".join(f"{n} = {format_term(v)}" for n, v in zip(names, canon)) + "\n")
 
 
-def _run_tp(program: Program, cfg: RunConfig, query: str, out, err) -> int:
-    atoms, qvars = parse_query(query)
-    engine = TPEngine(
+def _tp_engine(program: Program, cfg: RunConfig, err) -> TPEngine:
+    """The tabled engine ``cfg`` asks for; with ``--trace`` it writes each
+    event to ``err`` as it happens."""
+    sink = (lambda ev: err.write(format_event(ev) + "\n")) if cfg.trace else None
+    return TPEngine(
         program,
         step_budget=cfg.step_budget,
         strict_alg2=cfg.strict_alg2,
         occurs_check=cfg.occurs_check,
+        sink=sink,
     )
+
+
+def _run_tp(program: Program, cfg: RunConfig, query: str, out, err) -> int:
+    atoms, qvars = parse_query(query)
+    engine = _tp_engine(program, cfg, err)
     names = [v.name for v in qvars]
     code = EXIT_OK
     try:
@@ -77,9 +85,6 @@ def _run_tp(program: Program, cfg: RunConfig, query: str, out, err) -> int:
     except CyclicTermError as e:
         err.write(f"error: {e}; rerun with --occurs-check\n")
         return EXIT_USAGE
-    if cfg.trace:
-        for ev in engine.events:
-            err.write(format_event(ev) + "\n")
     if cfg.dump_tables:
         for line in engine.tables.dump():
             out.write(line + "\n")
@@ -151,12 +156,7 @@ def _repl(program: Program, cfg: RunConfig, stdin, out, err) -> int:
         if cfg.engine != "tp":
             _RUNNERS[cfg.engine](program, cfg, text, out, err)
             continue
-        engine = TPEngine(
-            program,
-            step_budget=cfg.step_budget,
-            strict_alg2=cfg.strict_alg2,
-            occurs_check=cfg.occurs_check,
-        )
+        engine = _tp_engine(program, cfg, err)
         names = [v.name for v in qvars]
         try:
             if not qvars:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .program import CUT, Cut, PredKey, Program, parse_program, parse_query
 from .tables import Table, TableStore
@@ -185,7 +185,11 @@ class Node:
 
 class TPEngine:
     """Evaluator for one program; each ``solve`` call is an independent run
-    with fresh tables, trace, and step counter."""
+    with fresh tables and step counter.
+
+    ``sink``, when given, receives each trace event as it is emitted.
+    Without one the engine builds no event at all.
+    """
 
     def __init__(
         self,
@@ -194,13 +198,14 @@ class TPEngine:
         step_budget: int = DEFAULT_STEP_BUDGET,
         strict_alg2: bool = False,
         occurs_check: bool = False,
+        sink: Callable[[TraceEvent], None] | None = None,
     ) -> None:
         self.program = program
         self.step_budget = step_budget
         self.strict_alg2 = strict_alg2
         self.occurs_check = occurs_check
         self.tables = TableStore()
-        self.events: list[TraceEvent] = []
+        self._sink = sink
         self._stack: list[Node] = []
         self._steps = 0
         self._next_id = 0
@@ -234,24 +239,26 @@ class TPEngine:
 
     # -- bookkeeping -------------------------------------------------
 
-    def _emit(self, kind: str, **fields) -> None:
-        self.events.append(event(kind, **fields))
+    # Every event is built behind an ``if self._sink is not None`` check at
+    # its call site, so a run without a sink pays nothing for its fields.
 
     def _register(self, items: tuple[GoalItem, ...], parent: Node | None,
-                  origin_kind: str, **fields) -> Node:
+                  origin_kind: str) -> Node:
         node = Node(self._next_id, parent, items, origin_kind, self.tables.memo_count)
         self._next_id += 1
         self._stack.append(node)
-        if parent is None:
-            self._emit("expand", node=node.id, parent=None, source=origin_kind, **fields)
-        else:
-            self._emit("expand", node=node.id, parent=parent.id, source=origin_kind, **fields)
         return node
+
+    def _expanded(self, node: Node, **fields) -> None:
+        parent = node.parent
+        self._sink(event("expand", node=node.id, parent=None if parent is None else parent.id,
+                         source=node.origin_kind, **fields))
 
     def _pop(self, node: Node) -> None:
         assert self._stack and self._stack[-1] is node
         self._stack.pop()
-        self._emit("backtrack", node=node.id)
+        if self._sink is not None:
+            self._sink(event("backtrack", node=node.id))
 
     def _clauses_for(self, atom: Struct):
         return self.program.by_predicate.get((atom.functor, len(atom.args)), ())
@@ -274,7 +281,6 @@ class TPEngine:
         """Derivation as a generator of answer tuples over the query's
         distinct variables (first-occurrence order)."""
         self.tables = TableStore()
-        self.events = []
         self._stack = []
         self._steps = 0
         self._next_id = 0
@@ -284,6 +290,8 @@ class TPEngine:
         items: tuple[GoalItem, ...] = tuple(GoalAtom(a, ()) for a in query)
         items += (Answer(tuple(qvars)),)
         node: Node | None = self._register(items, None, "root")
+        if self._sink is not None:
+            self._expanded(node)
 
         while node is not None:
             self._steps += 1
@@ -295,8 +303,11 @@ class TPEngine:
                 # a cut that executes commits its origin's clause choice
                 head.origin.susp = 0
                 node = self._register(node.items[1:], node, "cut")
+                if self._sink is not None:
+                    self._expanded(node)
             elif isinstance(head, Answer):
-                self._emit("answer", node=node.id, tuple=canonicalize(head.values))
+                if self._sink is not None:
+                    self._sink(event("answer", node=node.id, tuple=canonicalize(head.values)))
                 yield head.values
                 node = self._backtrack(node)
             elif isinstance(head, MemoLook):
@@ -309,9 +320,9 @@ class TPEngine:
 
     def _memo_look(self, node: Node, ml: MemoLook) -> Node | None:
         tbl = ml.table
-        new = self.tables.memo(tbl, ml.values)
-        self._emit("memo", table=tbl.key, tuple=canonicalize(ml.values),
-                   new=int(new), comp=int(tbl.comp))
+        tup, new = self.tables.memo(tbl, ml.values)
+        if self._sink is not None:
+            self._sink(event("memo", table=tbl.key, tuple=tup, new=int(new), comp=int(tbl.comp)))
         return self._fetch_for(node, ml.origin, ml.index, tbl, "lookup")
 
     def _fetch_for(self, node: Node, owner: Node, index: Struct, tbl: Table,
@@ -323,11 +334,15 @@ class TPEngine:
             return self._backtrack(node)
         owner.answer_ptr = pos + 1
         stored = tbl.answers[pos]
-        self._emit("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos)
+        if self._sink is not None:
+            self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
         tup = rename_apart(stored, self._fresh)
         theta = dict(zip(vars_of(index), tup))
         items = _subst_prefix(node.items[1:], theta)
-        return self._register(items, node, source, tuple=stored, pos=pos)
+        child = self._register(items, node, source)
+        if self._sink is not None:
+            self._expanded(child, tuple=stored, pos=pos)
+        return child
 
     def _tabled_call(self, node: Node, head: GoalAtom) -> Node | None:
         atom = head.atom
@@ -356,8 +371,10 @@ class TPEngine:
                     return self._backtrack(node)
                 if self.tables.memo_count == node.pass_mark:
                     tbl.comp = True
-                    self._emit("iteration-end", node=node.id, iteration=node.iteration_pass,
-                               new=int(self.tables.new_flag), comp=1)
+                    if self._sink is not None:
+                        self._sink(event("iteration-end", node=node.id,
+                                         iteration=node.iteration_pass,
+                                         new=int(self.tables.new_flag), comp=1))
                     return self._backtrack(node)
                 # the pass added answers somewhere: evaluate another pass
                 self.tables.new_flag = False
@@ -368,7 +385,9 @@ class TPEngine:
                     (i for i, c in enumerate(clauses) if tbl.clause_status[c.ordinal - 1]),
                     len(clauses),
                 )
-                self._emit("iteration-start", node=node.id, iteration=node.iteration_pass)
+                if self._sink is not None:
+                    self._sink(event("iteration-start", node=node.id,
+                                     iteration=node.iteration_pass))
         else:
             child = self._clause_child(node, head, tabled=True, min_ord=node.anc)
             if child is not None:
@@ -441,10 +460,15 @@ class TPEngine:
                 if tabled:
                     values = apply_tuple(tuple(vars_of(atom)), theta)
                     items = tuple(body) + (MemoLook(node, atom, tbl, values),) + node.items[1:]
-                    return self._register(items, node, "clause", clause=cl.label,
-                                          ord=cl.ordinal, anc=node.anc)
+                    child = self._register(items, node, "clause")
+                    if self._sink is not None:
+                        self._expanded(child, clause=cl.label, ord=cl.ordinal, anc=node.anc)
+                    return child
                 items = tuple(body) + _subst_prefix(node.items[1:], theta)
-                return self._register(items, node, "clause", clause=cl.label, ord=cl.ordinal)
+                child = self._register(items, node, "clause")
+                if self._sink is not None:
+                    self._expanded(child, clause=cl.label, ord=cl.ordinal)
+                return child
         node.clause_ptr = len(clauses)
         return None
 
@@ -471,9 +495,9 @@ class TPEngine:
             if not n.susp:
                 changed = True
             n.susp = 1
-        if not rerun or changed:
-            self._emit("loop-detected", node=bottom.id, top=top.id, clause=j,
-                       path=tuple(n.id for n in path), rerun=int(rerun))
+        if (not rerun or changed) and self._sink is not None:
+            self._sink(event("loop-detected", node=bottom.id, top=top.id, clause=j,
+                             path=tuple(n.id for n in path), rerun=int(rerun)))
 
     def _backtrack(self, node: Node) -> Node | None:
         while True:
@@ -523,6 +547,8 @@ class TPEngine:
 
 @dataclass(slots=True)
 class SolveResult:
+    """A finished ``tp_solve`` run; ``engine.events`` holds its trace."""
+
     answers: list[tuple[Term, ...]]
     status: str  # "complete" | "resource-limit"
     engine: TPEngine
@@ -537,7 +563,8 @@ def tp_solve(
     query: Sequence[Struct] | str,
     **options,
 ) -> SolveResult:
-    """Run a query to exhaustion, collecting every answer.
+    """Run a query to exhaustion, collecting every answer and every trace
+    event (into ``engine.events``).
 
     ``program`` and ``query`` may be source text or already parsed.
     """
@@ -545,7 +572,9 @@ def tp_solve(
         program = parse_program(program)
     if isinstance(query, str):
         query, _ = parse_query(query)
-    engine = TPEngine(program, **options)
+    events: list[TraceEvent] = []
+    engine = TPEngine(program, sink=events.append, **options)
+    engine.events = events
     answers: list[tuple[Term, ...]] = []
     status = "complete"
     try:

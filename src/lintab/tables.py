@@ -59,18 +59,19 @@ class TableStore:
         self.tables[key] = t
         return t, True
 
-    def memo(self, table: Table, answer: tuple[Term, ...]) -> bool:
-        """Record an answer; returns True when it was new (up to renaming)."""
+    def memo(self, table: Table, answer: tuple[Term, ...]) -> tuple[tuple[Term, ...], bool]:
+        """Record an answer; returns its canonical form and whether it was
+        new (up to renaming)."""
         tup = canonicalize(answer)
         if tup in table._seen:
-            return False
+            return tup, False
         table.answers.append(tup)
         table._seen.add(tup)
         self.new_flag = True
         self.memo_count += 1
         if tup == table._unit:
             table.comp = True
-        return True
+        return tup, True
 
     def dump(self) -> list[str]:
         lines = []

@@ -1,6 +1,7 @@
 """Structured trace events and consistency checkers.
 
-The engine emits one event per observable step.  Kinds:
+When given a sink, the engine emits one event per observable step to it,
+as the step happens; without one it builds no event.  Kinds:
 
 - ``expand``: a node was registered (fields say which source: root, a
   clause, a fetched answer, a memo-look fetch, or a cut).

@@ -49,6 +49,29 @@ def test_trace_goes_to_stderr(program_path):
     assert "EVENT" not in out
 
 
+def test_trace_streams_as_the_run_goes(program_path):
+    cfg = RunConfig(program_path=program_path("p1.pl"), query="reach(a,X)", trace=True)
+    both = io.StringIO()
+    assert run(cfg, stdout=both, stderr=both) == EXIT_OK
+    lines = both.getvalue().splitlines()
+    assert lines[lines.index("X = a") - 1].startswith("EVENT kind=answer")
+
+
+def test_trace_under_interactive(program_path):
+    stdin = "reach(a,X).\n;\nhalt.\n"
+    code, out, err = invoke(program_path("p1.pl"), stdin=stdin, interactive=True, trace=True)
+    assert code == EXIT_OK
+    assert "EVENT kind=answer" in err
+    assert "EVENT" not in out
+
+
+def test_trace_of_a_run_that_hits_the_budget(program_path):
+    code, _, err = invoke(program_path("p1.pl"), "reach(a,X)", step_budget=5, trace=True)
+    assert code == EXIT_RESOURCE
+    lines = err.splitlines()
+    assert lines and all(line.startswith("EVENT kind=") for line in lines)
+
+
 def test_step_budget_exit(program_path):
     code, out, _ = invoke(program_path("p1.pl"), "reach(a,X)", step_budget=5)
     assert code == EXIT_RESOURCE

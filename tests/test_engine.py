@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lintab.engine
 from lintab.engine import StepBudgetExceeded, TPEngine, tp_solve
 from lintab.program import parse_program, parse_query
 from lintab.terms import (
@@ -12,7 +13,7 @@ from lintab.terms import (
     rename_apart,
     unify,
 )
-from lintab.trace import check_clause_skip, check_stack_discipline
+from lintab.trace import check_clause_skip, check_stack_discipline, format_event
 
 
 def answers_of(result):
@@ -207,6 +208,13 @@ def test_occurs_check_option():
     assert r.answers == [] and r.status == "complete"
 
 
+def test_memo_event_carries_the_canonical_tuple():
+    r = tp_solve(":- table p/2.\np(X,Y) :- q(X,Y).\nq(a,Z).\nq(W,b).\n", "p(X,Y)")
+    memos = [e.get("tuple") for e in r.engine.events if e.kind == "memo"]
+    assert [format_tuple(t) for t in memos] == ["(a,_0)", "(_0,b)"]
+    assert all(t == canonicalize(t) for t in memos)
+
+
 def test_each_answer_has_an_event(load):
     r = tp_solve(load("p1.pl"), "reach(a,X)")
     assert sum(1 for e in r.engine.events if e.kind == "answer") == len(r.answers)
@@ -284,3 +292,53 @@ def test_graph_counts_are_pinned(rule, cycle, steps, events, answers):
     r = tp_solve(graph_program(50, rule, cycle), "reach(n0,Y)")
     assert r.status == "complete"
     assert (r.engine._steps, len(r.engine.events), len(r.answers)) == (steps, events, answers)
+
+
+# -- the event sink ------------------------------------------------------
+# Without a sink the engine builds no event; with one it streams exactly
+# the events tp_solve records.
+
+GOLDEN_QUERIES = (
+    ("p1.pl", "reach(a,X)"),
+    ("p2.pl", "p(X,Y,Z)"),
+    ("p3.pl", "p(X,Y)"),
+    ("p4.pl", "p(X,Y)"),
+    ("p5_1.pl", "not_p(a)"),
+    ("p5_2.pl", "not_p(a)"),
+    ("p5_3.pl", "not_p(a)"),
+    ("p6.pl", "p(X)"),
+)
+CUT_GOLDENS = GOLDEN_QUERIES[3:]  # p4 to p6 use cut
+GRAPHS = {
+    "left-chain-50": graph_program(50, "reach(X,Y) :- reach(X,Z), edge(Z,Y).", False),
+    "right-cycle-50": graph_program(50, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True),
+}
+
+
+@pytest.mark.parametrize("name, query", [
+    ("left-chain-50", "reach(n0,Y)"),
+    ("right-cycle-50", "reach(n0,Y)"),
+    *CUT_GOLDENS,
+])
+def test_no_sink_builds_no_event(monkeypatch, load, name, query):
+    source = GRAPHS[name] if name in GRAPHS else load(name)
+    recorded = tp_solve(source, query)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an event was built without a sink")
+
+    monkeypatch.setattr(lintab.engine, "event", refuse)
+    engine = TPEngine(parse_program(source))
+    atoms, _ = parse_query(query)
+    assert list(engine.solve(atoms)) == recorded.answers
+    assert engine._steps == recorded.engine._steps
+
+
+@pytest.mark.parametrize("name, query", GOLDEN_QUERIES)
+def test_user_sink_sees_the_recorded_events(load, name, query):
+    source = load(name)
+    seen = []
+    engine = TPEngine(parse_program(source), sink=lambda ev: seen.append(format_event(ev)))
+    atoms, _ = parse_query(query)
+    list(engine.solve(atoms))
+    assert seen == [format_event(e) for e in tp_solve(source, query).engine.events]

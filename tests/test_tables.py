@@ -36,11 +36,20 @@ def test_get_or_create():
 def test_memo_appends_and_dedups_variants():
     store = TableStore()
     t = store.get_or_create(call(X, Y), 1)[0]
-    assert store.memo(t, (a, Var(5, "W")))
-    assert not store.memo(t, (a, Var(7, "Q")))
-    assert store.memo(t, (a, b))
+    assert store.memo(t, (a, Var(5, "W")))[1]
+    assert not store.memo(t, (a, Var(7, "Q")))[1]
+    assert store.memo(t, (a, b))[1]
     assert len(t.answers) == 2
     assert store.memo_count == 2
+
+
+def test_memo_hands_back_the_canonical_tuple():
+    store = TableStore()
+    t = store.get_or_create(call(X, Y), 1)[0]
+    first = store.memo(t, (a, Var(5, "W")))
+    again = store.memo(t, (a, Var(7, "Q")))
+    assert first == (t.answers[0], True)
+    assert again == (t.answers[0], False)
 
 
 def test_memo_flags():
