@@ -4,9 +4,13 @@
 the tabled engine (default) or one of the reference evaluators.  Ground
 queries answer ``yes`` or ``no``; queries with variables print one binding
 line per answer (``X = a, Y = b``) followed by ``no`` once exhausted.
-Unknown predicates simply have empty relations.  Exit codes: 0 for a clean
-run (including ``no``), 1 for usage, file, or parse problems, 2 when a
-resource limit stopped the run before exhaustion.
+``--interactive`` reads queries at a ``?- `` prompt and answers them the
+same way with every engine, but waits after each binding line: ``;`` asks
+for the next answer.  ``--trace`` and ``--dump-tables`` (tp only) work in
+both modes.  Unknown predicates simply have empty relations.  Exit codes:
+0 for a clean run (including ``no``), 1 for usage, file, or parse problems
+and for a cyclic binding made without ``--occurs-check`` (tp and sld), 2
+when a resource limit stopped the run before exhaustion.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine
-from .oracle import UnsupportedProgramError, bottomup_solve, sld_solve
+from .oracle import OracleResult, UnsupportedProgramError, bottomup_solve, sld_solve
 from .program import ParseError, Program, parse_program, parse_query
-from .terms import CyclicTermError, canonicalize, format_term
+from .terms import CyclicTermError, Term, canonicalize, format_term
 from .trace import format_event
 
 __all__ = ["RunConfig", "run", "main", "EXIT_OK", "EXIT_USAGE", "EXIT_RESOURCE"]
@@ -45,97 +50,78 @@ class RunConfig:
     interactive: bool = False
 
 
-def _print_answer(names: list[str], values, out) -> None:
-    canon = canonicalize(tuple(values))
-    out.write(", ".join(f"{n} = {format_term(v)}" for n, v in zip(names, canon)) + "\n")
+class _DepthBoundExceeded(Exception):
+    """The sld run pruned a branch at ``--depth-bound``."""
 
 
-def _tp_engine(program: Program, cfg: RunConfig, err) -> TPEngine:
-    """The tabled engine ``cfg`` asks for; with ``--trace`` it writes each
-    event to ``err`` as it happens."""
-    sink = (lambda ev: err.write(format_event(ev) + "\n")) if cfg.trace else None
-    return TPEngine(
-        program,
-        step_budget=cfg.step_budget,
-        strict_alg2=cfg.strict_alg2,
-        occurs_check=cfg.occurs_check,
-        sink=sink,
-    )
+def _replay(result: OracleResult) -> Iterator[tuple[Term, ...]]:
+    """An oracle's answers in order; a run cut off by the depth bound
+    raises once they are used up."""
+    yield from result.answers
+    if result.status == "depth-exceeded":
+        raise _DepthBoundExceeded
 
 
-def _run_tp(program: Program, cfg: RunConfig, query: str, out, err) -> int:
-    atoms, qvars = parse_query(query)
-    engine = _tp_engine(program, cfg, err)
-    names = [v.name for v in qvars]
+def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
+    """Answer one query the way a Prolog top level does and return the exit
+    code.  A ground query prints ``yes`` or ``no``; otherwise each answer is
+    a binding line, and ``more()`` decides after each one whether to go on
+    (``no`` follows once the answers run out)."""
+    engine = None
     code = EXIT_OK
     try:
-        if not qvars:
-            found = False
-            for _ in engine.solve(atoms):
-                found = True
-                break
-            out.write("yes\n" if found else "no\n")
+        atoms, qvars = parse_query(text)
+        if cfg.engine == "tp":
+            sink = (lambda ev: err.write(format_event(ev) + "\n")) if cfg.trace else None
+            engine = TPEngine(program, step_budget=cfg.step_budget, strict_alg2=cfg.strict_alg2,
+                              occurs_check=cfg.occurs_check, sink=sink)
+            answers = engine.solve(atoms)
+        elif cfg.engine == "sld":
+            answers = _replay(sld_solve(program, atoms, cfg.depth_bound,
+                                        occurs_check=cfg.occurs_check))
         else:
-            for tup in engine.solve(atoms):
-                _print_answer(names, tup, out)
-            out.write("no\n")
+            answers = iter(bottomup_solve(program, atoms).answers)
+        if not qvars:
+            out.write("yes\n" if next(answers, None) is not None else "no\n")
+        else:
+            names = [v.name for v in qvars]
+            for tup in answers:
+                canon = canonicalize(tuple(tup))
+                out.write(", ".join(f"{n} = {format_term(v)}"
+                                    for n, v in zip(names, canon)) + "\n")
+                if not more():
+                    break
+            else:
+                out.write("no\n")
     except StepBudgetExceeded:
         out.write("resource-limit: step budget exceeded\n")
         code = EXIT_RESOURCE
+    except _DepthBoundExceeded:
+        out.write("resource-limit: depth bound exceeded\n")
+        code = EXIT_RESOURCE
+    except ParseError as e:
+        err.write(f"error: query: {e}\n")
+        return EXIT_USAGE
+    except UnsupportedProgramError as e:
+        err.write(f"error: the bottomup engine cannot evaluate this program: {e}\n")
+        return EXIT_USAGE
     except CyclicTermError as e:
         err.write(f"error: {e}; rerun with --occurs-check\n")
         return EXIT_USAGE
-    if cfg.dump_tables:
+    if cfg.dump_tables and engine is not None:
         for line in engine.tables.dump():
             out.write(line + "\n")
     return code
 
 
-def _run_sld(program: Program, cfg: RunConfig, query: str, out, err) -> int:
-    atoms, qvars = parse_query(query)
-    result = sld_solve(program, atoms, cfg.depth_bound, occurs_check=cfg.occurs_check)
-    names = [v.name for v in qvars]
-    if not qvars:
-        if result.answers:
-            out.write("yes\n")
-            return EXIT_OK
-        if result.status == "complete":
-            out.write("no\n")
-            return EXIT_OK
-        out.write("resource-limit: depth bound exceeded\n")
-        return EXIT_RESOURCE
-    for tup in result.answers:
-        _print_answer(names, tup, out)
-    if result.status == "complete":
-        out.write("no\n")
-        return EXIT_OK
-    out.write("resource-limit: depth bound exceeded\n")
-    return EXIT_RESOURCE
-
-
-def _run_bottomup(program: Program, cfg: RunConfig, query: str, out, err) -> int:
-    atoms, qvars = parse_query(query)
-    try:
-        result = bottomup_solve(program, atoms)
-    except UnsupportedProgramError as e:
-        err.write(f"error: the bottomup engine cannot evaluate this program: {e}\n")
-        return EXIT_USAGE
-    names = [v.name for v in qvars]
-    if not qvars:
-        out.write("yes\n" if result.answers else "no\n")
-        return EXIT_OK
-    for tup in result.answers:
-        _print_answer(names, tup, out)
-    out.write("no\n")
-    return EXIT_OK
-
-
-_RUNNERS = {"tp": _run_tp, "sld": _run_sld, "bottomup": _run_bottomup}
-
-
 def _repl(program: Program, cfg: RunConfig, stdin, out, err) -> int:
     """Read queries from stdin; after each answer a lone ``;`` asks for the
     next one, anything else abandons the query."""
+
+    def more() -> bool:
+        out.flush()
+        return stdin.readline().strip() == ";"
+
     while True:
         out.write("?- ")
         out.flush()
@@ -148,38 +134,7 @@ def _repl(program: Program, cfg: RunConfig, stdin, out, err) -> int:
             continue
         if text.rstrip(".") in ("halt", "quit"):
             return EXIT_OK
-        try:
-            atoms, qvars = parse_query(text)
-        except ParseError as e:
-            err.write(f"error: {e}\n")
-            continue
-        if cfg.engine != "tp":
-            _RUNNERS[cfg.engine](program, cfg, text, out, err)
-            continue
-        engine = _tp_engine(program, cfg, err)
-        names = [v.name for v in qvars]
-        try:
-            if not qvars:
-                found = False
-                for _ in engine.solve(atoms):
-                    found = True
-                    break
-                out.write("yes\n" if found else "no\n")
-            else:
-                exhausted = True
-                for tup in engine.solve(atoms):
-                    _print_answer(names, tup, out)
-                    out.flush()
-                    nxt = stdin.readline()
-                    if nxt.strip() != ";":
-                        exhausted = False
-                        break
-                if exhausted:
-                    out.write("no\n")
-        except StepBudgetExceeded:
-            out.write("resource-limit: step budget exceeded\n")
-        except CyclicTermError as e:
-            err.write(f"error: {e}; rerun with --occurs-check\n")
+        _query(program, cfg, text, out, err, more)
 
 
 def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
@@ -188,7 +143,7 @@ def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     inp = stdin if stdin is not None else sys.stdin
     try:
         text = Path(cfg.program_path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         err.write(f"error: cannot read {cfg.program_path}: {e}\n")
         return EXIT_USAGE
     try:
@@ -199,11 +154,7 @@ def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     if cfg.interactive:
         return _repl(program, cfg, inp, out, err)
     assert cfg.query is not None
-    try:
-        return _RUNNERS[cfg.engine](program, cfg, cfg.query, out, err)
-    except ParseError as e:
-        err.write(f"error: query: {e}\n")
-        return EXIT_USAGE
+    return _query(program, cfg, cfg.query, out, err, more=lambda: True)
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,7 @@ from .terms import (
     apply,
     apply_tuple,
     canonicalize,
+    max_var_id,
     rename_apart,
     unify,
     vars_of,
@@ -99,7 +100,7 @@ def sld_solve(
     exceed ``depth_bound`` is pruned and the run is flagged.  Answers may
     repeat; they are reported in discovery order.
     """
-    fresh = FreshVars(max((v.id for a in query for v in vars_of(a)), default=-1) + 1)
+    fresh = FreshVars(max_var_id(query) + 1)
 
     def rename(clause):
         renamed = rename_apart(

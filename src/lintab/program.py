@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .terms import Const, Struct, Term, Var, format_term
+from .terms import Const, Struct, Term, Var, format_term, vars_of
 
 __all__ = [
     "ParseError",
@@ -285,22 +285,7 @@ def parse_query(text: str) -> tuple[tuple[Struct, ...], list[Var]]:
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"unexpected {t.text!r} after query", t.line, t.col)
-    seen: set[Var] = set()
-    out: list[Var] = []
-    for a in atoms:
-        for v in _atom_vars(a):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return tuple(atoms), out
-
-
-def _atom_vars(t: Term) -> Iterator[Var]:
-    if isinstance(t, Var):
-        yield t
-    elif isinstance(t, Struct):
-        for a in t.args:
-            yield from _atom_vars(a)
+    return tuple(atoms), vars_of(atoms)
 
 
 def dependency_graph(program: Program) -> dict[PredKey, frozenset[PredKey]]:

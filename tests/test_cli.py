@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from lintab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, RunConfig, main, run
 
 
@@ -120,6 +122,40 @@ def test_parse_error_in_query(program_path):
     assert "cut is not allowed" in err
 
 
+def test_program_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.pl"
+    bad.write_bytes(b"\xffp(a).\n")
+    code, out, err = invoke(str(bad), "p(X)")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: cannot read {bad}: ")
+
+
+CYCLIC = "p(X) :- q(X,X).\nq(Y,f(Y)).\n"
+
+
+@pytest.mark.parametrize("engine", ["tp", "sld"])
+def test_cyclic_binding_is_an_error(tmp_path, engine):
+    prog = tmp_path / "cyclic.pl"
+    prog.write_text(CYCLIC)
+    code, out, err = invoke(str(prog), "p(X)", engine=engine)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.endswith("; rerun with --occurs-check\n")
+    assert "Traceback" not in err
+    code, out, _ = invoke(str(prog), "p(X)", engine=engine, occurs_check=True)
+    assert (code, out) == (EXIT_OK, "no\n")
+
+
+@pytest.mark.parametrize("engine", ["tp", "sld"])
+def test_interactive_cyclic_binding_keeps_the_session(tmp_path, engine):
+    prog = tmp_path / "cyclic.pl"
+    prog.write_text(CYCLIC)
+    stdin = "p(X).\nq(a,Y).\n;\nhalt.\n"
+    code, out, err = invoke(str(prog), stdin=stdin, interactive=True, engine=engine)
+    assert code == EXIT_OK
+    assert out == "?- ?- Y = f(a)\nno\n?- "
+    assert "rerun with --occurs-check" in err
+
+
 def test_missing_file():
     code, _, err = invoke("no/such/file.pl", "p(X)")
     assert code == EXIT_USAGE
@@ -143,6 +179,46 @@ def test_interactive_parse_error_keeps_going(program_path):
     assert code == EXIT_OK
     assert "error" in err
     assert "yes" in out
+
+
+@pytest.mark.parametrize("engine", ["sld", "bottomup"])
+def test_interactive_stops_at_a_reply_other_than_semicolon(program_path, engine):
+    stdin = "reach(a,X).\nx\nhalt.\n"
+    code, out, err = invoke(program_path("p1.pl"), stdin=stdin, interactive=True,
+                            engine=engine, depth_bound=50)
+    first = invoke(program_path("p1.pl"), "reach(a,X)", engine=engine, depth_bound=50)[1]
+    assert code == EXIT_OK
+    assert out == "?- " + first.splitlines()[0] + "\n?- "
+    assert err == ""
+
+
+def test_interactive_dump_tables(program_path):
+    stdin = "reach(a,X).\n" + ";\n" * 4 + "halt.\n"
+    code, out, _ = invoke(program_path("p1.pl"), stdin=stdin, interactive=True,
+                          dump_tables=True)
+    assert code == EXIT_OK
+    assert out.splitlines()[-3:] == [
+        "no", "TB(reach(a,_0)): answers=[(a),(b),(d),(e)] status=[1,0,0] comp=1", "?- "
+    ]
+
+
+@pytest.mark.parametrize("engine", ["tp", "sld", "bottomup"])
+def test_interactive_transcript_matches_the_query_run(program_path, engine):
+    path = program_path("p1.pl")
+    code, out, err = invoke(path, "reach(a,X)", engine=engine, depth_bound=50)
+    answers = len(out.splitlines()) - 1
+    stdin = "reach(a,X).\n" + ";\n" * answers + "halt.\n"
+    _, transcript, ierr = invoke(path, stdin=stdin, interactive=True, engine=engine,
+                                 depth_bound=50)
+    assert transcript.replace("?- ", "") == out
+    assert err == ierr == ""
+
+
+def test_bad_query_reads_the_same_in_both_modes(program_path):
+    code, _, err = invoke(program_path("p1.pl"), "reach(a")
+    assert code == EXIT_USAGE and err.startswith("error: query: ")
+    _, _, ierr = invoke(program_path("p1.pl"), stdin="reach(a\n", interactive=True)
+    assert ierr == err
 
 
 def test_main_argv_round_trip(program_path, capsys):
