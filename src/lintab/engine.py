@@ -18,6 +18,12 @@ and the outermost call of a loop re-evaluates its clauses until a pass adds
 no answer anywhere, then marks its table complete.  Clause status bits let
 exhausted or cut-away clauses drop out of later passes.
 
+A call's ancestors are the origins of the memo-looks pending behind it in
+its goal list, nearest first: the frames its continuation has yet to return
+through.  The search sees through non-tabled calls, which plant none; it
+relies on ``parse_program`` tabling every predicate on a dependency cycle,
+so no variant of a call can sit above a non-tabled call on its path.
+
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
 clears the status bits of the untried clauses, unless a suspension flag
@@ -54,7 +60,6 @@ from .trace import TraceEvent, event
 __all__ = [
     "DEFAULT_STEP_BUDGET",
     "StepBudgetExceeded",
-    "GoalAtom",
     "MemoLook",
     "Answer",
     "CutItem",
@@ -76,32 +81,18 @@ class StepBudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class GoalAtom:
-    """A callable atom plus the tabled ancestor calls above it."""
-
-    atom: Struct
-    anc: tuple["Node", ...] = ()
-
-    def substituted(self, s: Subst) -> "GoalAtom":
-        return GoalAtom(apply(self.atom, s), self.anc)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
 class MemoLook:
     """Memoize-then-fetch marker planted behind a tabled clause body.
 
-    ``index`` is the calling atom exactly as it stood at the call and is
-    never instantiated; ``values`` is the tuple of its distinct variables,
-    instantiated as the body is proved.
+    ``origin`` is the call's node, which holds its table and its variables;
+    ``values`` is that variable tuple, instantiated as the body is proved.
     """
 
     origin: "Node"
-    index: Struct
-    table: Table
     values: tuple[Term, ...]
 
     def substituted(self, s: Subst) -> "MemoLook":
-        return MemoLook(self.origin, self.index, self.table, apply_tuple(self.values, s))
+        return MemoLook(self.origin, apply_tuple(self.values, s))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -124,7 +115,7 @@ class CutItem:
         return self
 
 
-GoalItem = GoalAtom | MemoLook | Answer | CutItem
+GoalItem = Struct | MemoLook | Answer | CutItem
 
 
 def _subst_prefix(items: tuple[GoalItem, ...], s: Subst) -> tuple[GoalItem, ...]:
@@ -135,8 +126,8 @@ def _subst_prefix(items: tuple[GoalItem, ...], s: Subst) -> tuple[GoalItem, ...]
     out: list[GoalItem] = []
     it = iter(items)
     for item in it:
-        out.append(item.substituted(s))
-        if isinstance(item, MemoLook):
+        out.append(apply(item, s) if type(item) is Struct else item.substituted(s))
+        if type(item) is MemoLook:
             break
     out.extend(it)
     return tuple(out)
@@ -152,7 +143,6 @@ class Node:
         "origin_kind",
         "clause_ptr",
         "answer_ptr",
-        "current_clause",
         "susp",
         "loop",
         "iter_",
@@ -160,6 +150,7 @@ class Node:
         "pass_mark",
         "iteration_pass",
         "table",
+        "call_vars",
     )
 
     def __init__(self, id_: int, parent: "Node | None", items: tuple[GoalItem, ...],
@@ -168,16 +159,16 @@ class Node:
         self.parent = parent
         self.items = items
         self.origin_kind = origin_kind
-        self.clause_ptr = 0
+        self.clause_ptr = 0  # while a clause child is pending: that clause's ordinal
         self.answer_ptr = 0
-        self.current_clause: int | None = None
         self.susp = 0
         self.loop = 0
         self.iter_ = 0
         self.anc = -1  # -1 unknown, 0 no ancestor variant, j>0 its in-use clause
         self.pass_mark = pass_mark
         self.iteration_pass = 0
-        self.table: Table | None = None
+        self.table: Table | None = None  # set with call_vars on a tabled call
+        self.call_vars: tuple[Var, ...] = ()
 
     def __repr__(self) -> str:
         return f"<Node {self.id} {self.origin_kind}>"
@@ -260,9 +251,6 @@ class TPEngine:
         if self._sink is not None:
             self._sink(event("backtrack", node=node.id))
 
-    def _clauses_for(self, atom: Struct):
-        return self.program.by_predicate.get((atom.functor, len(atom.args)), ())
-
     def _first_arg_candidates(self, key: PredKey, name: str) -> list[int]:
         """Positions, in textual order, of the clauses of ``key`` whose
         first head argument can match the constant ``name``."""
@@ -287,8 +275,7 @@ class TPEngine:
         self._fresh = FreshVars(max_var_id(tuple(query)) + 1)
 
         qvars = vars_of(tuple(query))
-        items: tuple[GoalItem, ...] = tuple(GoalAtom(a, ()) for a in query)
-        items += (Answer(tuple(qvars)),)
+        items: tuple[GoalItem, ...] = (*query, Answer(tuple(qvars)))
         node: Node | None = self._register(items, None, "root")
         if self._sink is not None:
             self._expanded(node)
@@ -299,7 +286,13 @@ class TPEngine:
                 raise StepBudgetExceeded(self._steps)
             head = node.items[0]
 
-            if isinstance(head, CutItem):
+            if type(head) is Struct:
+                if (head.functor, len(head.args)) in self.program.tabled:
+                    node = self._tabled_call(node, head)
+                else:
+                    child = self._clause_child(node)
+                    node = child if child is not None else self._backtrack(node)
+            elif isinstance(head, CutItem):
                 # a cut that executes commits its origin's clause choice
                 head.origin.susp = 0
                 node = self._register(node.items[1:], node, "cut")
@@ -310,25 +303,20 @@ class TPEngine:
                     self._sink(event("answer", node=node.id, tuple=canonicalize(head.values)))
                 yield head.values
                 node = self._backtrack(node)
-            elif isinstance(head, MemoLook):
-                node = self._memo_look(node, head)
-            elif (head.atom.functor, len(head.atom.args)) in self.program.tabled:
-                node = self._tabled_call(node, head)
             else:
-                child = self._clause_child(node, head, tabled=False, min_ord=0)
-                node = child if child is not None else self._backtrack(node)
+                node = self._memo_look(node, head)
 
     def _memo_look(self, node: Node, ml: MemoLook) -> Node | None:
-        tbl = ml.table
+        tbl = ml.origin.table
         tup, new = self.tables.memo(tbl, ml.values)
         if self._sink is not None:
             self._sink(event("memo", table=tbl.key, tuple=tup, new=int(new), comp=int(tbl.comp)))
-        return self._fetch_for(node, ml.origin, ml.index, tbl, "lookup")
+        return self._fetch_for(node, ml.origin, "lookup")
 
-    def _fetch_for(self, node: Node, owner: Node, index: Struct, tbl: Table,
-                   source: str) -> Node | None:
+    def _fetch_for(self, node: Node, owner: Node, source: str) -> Node | None:
         """Consume the owner's next unconsumed answer, if any, and register
         the continuation under ``node``."""
+        tbl = owner.table
         pos = owner.answer_ptr
         if pos >= len(tbl.answers):
             return self._backtrack(node)
@@ -337,31 +325,32 @@ class TPEngine:
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
         tup = rename_apart(stored, self._fresh)
-        theta = dict(zip(vars_of(index), tup))
+        theta = dict(zip(owner.call_vars, tup))
         items = _subst_prefix(node.items[1:], theta)
         child = self._register(items, node, source)
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
         return child
 
-    def _tabled_call(self, node: Node, head: GoalAtom) -> Node | None:
-        atom = head.atom
+    def _tabled_call(self, node: Node, atom: Struct) -> Node | None:
         if node.table is None:
-            node.table, _ = self.tables.get_or_create(atom, len(self._clauses_for(atom)))
+            n_clauses = len(self.program.by_predicate.get((atom.functor, len(atom.args)), ()))
+            node.table, _ = self.tables.get_or_create(atom, n_clauses)
+            node.call_vars = tuple(vars_of(atom))
         tbl = node.table
 
         # table first: consume answers before touching clauses
         if node.answer_ptr < len(tbl.answers):
-            return self._fetch_for(node, node, atom, tbl, "answer")
+            return self._fetch_for(node, node, "answer")
         if tbl.comp:
             return self._backtrack(node)
 
-        if node.anc == -1 and not self._ancestor_variant(node, head, rerun=False):
+        if node.anc == -1 and not self._ancestor_variant(node, rerun=False):
             node.anc = 0
 
         if node.anc == 0:
             while True:
-                child = self._clause_child(node, head, tabled=True, min_ord=0)
+                child = self._clause_child(node)
                 if child is not None:
                     return child
                 if not node.iter_:
@@ -380,43 +369,44 @@ class TPEngine:
                 self.tables.new_flag = False
                 node.pass_mark = self.tables.memo_count
                 node.iteration_pass += 1
-                clauses = self._clauses_for(atom)
-                node.clause_ptr = next(
-                    (i for i, c in enumerate(clauses) if tbl.clause_status[c.ordinal - 1]),
-                    len(clauses),
-                )
+                status = tbl.clause_status
+                node.clause_ptr = next((i for i, bit in enumerate(status) if bit), len(status))
                 if self._sink is not None:
                     self._sink(event("iteration-start", node=node.id,
                                      iteration=node.iteration_pass))
         else:
-            child = self._clause_child(node, head, tabled=True, min_ord=node.anc)
+            child = self._clause_child(node)
             if child is not None:
                 return child
             # exhausted under an ancestor variant: re-check the loop flags,
             # since intervening cuts may have reshaped the path
-            self._ancestor_variant(node, head, rerun=True)
+            self._ancestor_variant(node, rerun=True)
             return self._backtrack(node)
 
-    def _ancestor_variant(self, node: Node, head: GoalAtom, rerun: bool) -> bool:
+    def _ancestor_variant(self, node: Node, rerun: bool) -> bool:
         """Find the nearest ancestor call sharing the node's table and, if
         there is one, reflag the loop path from it down to the node."""
-        anc = head.anc
-        # ancestors run root first, so the last variant is the nearest
-        for k in range(len(anc) - 1, -1, -1):
-            top = anc[k]
-            if top.table is node.table:
-                self._nodetype_update([*anc[k:], node], top.current_clause, rerun)
-                return True
+        path = [node]
+        for item in islice(node.items, 1, None):
+            if type(item) is MemoLook:
+                top = item.origin
+                path.append(top)
+                if top.table is node.table:
+                    path.reverse()
+                    self._nodetype_update(path, top.clause_ptr, rerun)
+                    return True
         return False
 
-    def _clause_child(self, node: Node, head: GoalAtom, tabled: bool, min_ord: int) -> Node | None:
-        atom = head.atom
+    def _clause_child(self, node: Node) -> Node | None:
+        atom = node.items[0]
         args = atom.args
         key = (atom.functor, len(args))
         clauses = self.program.by_predicate.get(key, ())
         tbl = node.table
-        # clauses at positions below min_ord have ordinals up to min_ord
-        start = max(node.clause_ptr, min_ord)
+        tabled = tbl is not None
+        # anc is -1, 0 or the clause j an ancestor variant is in; clauses at
+        # positions below j have ordinals up to j, so a variant skips them
+        start = max(node.clause_ptr, node.anc)
         if args and type(args[0]) is Const:
             # first-argument indexing: skip only clauses the const_pos
             # check below would reject, so the trace is the same
@@ -447,19 +437,13 @@ class TPEngine:
                         continue
                     rest2 = rename_apart(rest, self._fresh, mapping)
                 node.clause_ptr = i + 1
-                node.current_clause = cl.ordinal
 
-                child_anc = head.anc + (node,) if tabled else ()
-                body: list[GoalItem] = []
                 renamed_body = iter(rest2)
-                for b in cl.body:
-                    if isinstance(b, Cut):
-                        body.append(CutItem(node))
-                    else:
-                        body.append(GoalAtom(apply(next(renamed_body), theta), child_anc))
+                body = [CutItem(node) if isinstance(b, Cut) else apply(next(renamed_body), theta)
+                        for b in cl.body]
                 if tabled:
-                    values = apply_tuple(tuple(vars_of(atom)), theta)
-                    items = tuple(body) + (MemoLook(node, atom, tbl, values),) + node.items[1:]
+                    values = apply_tuple(node.call_vars, theta)
+                    items = tuple(body) + (MemoLook(node, values),) + node.items[1:]
                     child = self._register(items, node, "clause")
                     if self._sink is not None:
                         self._expanded(child, clause=cl.label, ord=cl.ordinal, anc=node.anc)
@@ -514,32 +498,27 @@ class TPEngine:
                 while cur is not origin:
                     self._pop(cur)
                     cur = cur.parent
-                call = origin.items[0]
-                assert isinstance(call, GoalAtom)
-                key = (call.atom.functor, len(call.atom.args))
-                if key not in self.program.tabled:
+                tbl = origin.table
+                if tbl is None:
                     node = origin
                     continue
-                i = origin.current_clause
-                tbl = origin.table
+                status = tbl.clause_status
                 if origin.susp == 0:
-                    for ordn in range(i, len(tbl.clause_status) + 1):
-                        tbl.clause_status[ordn - 1] = 0
+                    # clear the cut clause and every clause after it
+                    for i in range(origin.clause_ptr - 1, len(status)):
+                        status[i] = 0
                 else:
                     origin.susp = 0
-                    origin.clause_ptr = len(self._clauses_for(call.atom))
+                    origin.clause_ptr = len(status)
                 return origin
 
             if isinstance(phead, MemoLook):
                 node = parent
                 continue
 
-            assert isinstance(phead, GoalAtom)
-            key = (phead.atom.functor, len(phead.atom.args))
-            if key in self.program.tabled and node.origin_kind == "clause":
-                j = parent.current_clause
+            if parent.table is not None and node.origin_kind == "clause":
                 if parent.susp == 0:
-                    parent.table.clause_status[j - 1] = 0
+                    parent.table.clause_status[parent.clause_ptr - 1] = 0
                 else:
                     parent.susp = 0
             return parent

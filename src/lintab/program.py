@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .terms import Const, Struct, Term, Var, format_term, vars_of
+from .terms import Const, Struct, Term, Var, vars_of
 
 __all__ = [
     "ParseError",
@@ -30,7 +30,6 @@ __all__ = [
     "parse_query",
     "dependency_graph",
     "classify_tabled",
-    "format_clause",
 ]
 
 PredKey = tuple[str, int]
@@ -79,18 +78,6 @@ class Program:
     by_predicate: dict[PredKey, tuple[Clause, ...]]
     declared_tabled: frozenset[PredKey]
     tabled: frozenset[PredKey]
-
-    def source(self) -> str:
-        lines = [f":- table {name}/{arity}." for name, arity in sorted(self.declared_tabled)]
-        lines += [format_clause(c) for c in self.clauses]
-        return "\n".join(lines) + "\n"
-
-
-def format_clause(c: Clause) -> str:
-    if not c.body:
-        return f"{format_term(c.head)}."
-    parts = ["!" if isinstance(b, Cut) else format_term(b) for b in c.body]
-    return f"{format_term(c.head)} :- {', '.join(parts)}."
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,6 @@ __all__ = [
     "apply_tuple",
     "unify",
     "canonicalize",
-    "is_variant",
     "rename_apart",
 ]
 
@@ -264,11 +263,6 @@ def canonicalize(x):
     if isinstance(x, (Var, Const, Struct)):
         return repl(x)
     return tuple(repl(t) for t in x)
-
-
-def is_variant(a, b) -> bool:
-    """True when the two terms (or tuples) are equal up to variable renaming."""
-    return canonicalize(a) == canonicalize(b)
 
 
 def rename_apart(x, fresh: FreshVars, mapping: dict[Var, Var] | None = None):

@@ -1,9 +1,14 @@
+import hashlib
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lintab.engine
 from lintab.engine import StepBudgetExceeded, TPEngine, tp_solve
-from lintab.program import parse_program, parse_query
+from lintab.oracle import generate_program, sld_solve
+from lintab.program import Program, parse_program, parse_query
 from lintab.terms import (
     Const,
     CyclicTermError,
@@ -342,3 +347,77 @@ def test_user_sink_sees_the_recorded_events(load, name, query):
     atoms, _ = parse_query(query)
     list(engine.solve(atoms))
     assert seen == [format_event(e) for e in tp_solve(source, query).engine.events]
+
+
+# -- the full golden traces ------------------------------------------------
+# The event count and the sha256 of the formatted trace of each golden, so
+# that any change to an event, its fields or their order shows.
+
+GOLDEN_TRACES = {
+    "p1.pl": (68, "ba8e37afc51679f860c92229788445acae409e2443725456e4d2ffff2bf14de9"),
+    "p2.pl": (49, "258a9d2c6931d10406239706974fac723db0b5bbdb47aa741df135f36cab2bc6"),
+    "p3.pl": (69, "0f494f488139051ad464a8c93c53897d79d46afb2ce30511d4431b754eabad39"),
+    "p4.pl": (48, "c8e180b41cbd6dfbf59ee0ef53bdeb6d2fa6f8074feaec5ad8346a70c53422d3"),
+    "p5_1.pl": (7, "fbf83c97c56313b0f42e860b95e3f5795c6dca573b7fa97725399b24abe67524"),
+    "p5_2.pl": (8, "fd133635d07ffe1203e64202f96a3e318ffca9c355f5c16bb3562e4856cb5fa5"),
+    "p5_3.pl": (11, "87dc032c11eeb627c568aebfa73e786f708b387570e38e4d2b1071f7313f630e"),
+    "p6.pl": (25, "871e1bed33eae7b38918b8132b0350b927c881ce8b4d15b7f5479ed2edd6feb3"),
+}
+
+
+@pytest.mark.parametrize("name, query", GOLDEN_QUERIES)
+def test_golden_trace_is_pinned(load, name, query):
+    lines = [format_event(e) for e in tp_solve(load(name), query).engine.events]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == GOLDEN_TRACES[name]
+
+
+# -- cut programs against depth-first resolution ----------------------------
+# Where sld_solve completes, the engine gives its answers in its order, each
+# variant once.
+
+
+def with_cuts(src, rng):
+    """Put ``!`` at a random place in about 60% of the rule bodies of a
+    generated program, and turn about 15% of its facts into ``head :- !``."""
+    lines = []
+    for line in src.splitlines():
+        if " :- " in line:
+            head, body = line[:-1].split(" :- ")
+            goals = re.findall(r"\w+(?:\([^)]*\))?", body)
+            if rng.random() < 0.6:
+                goals.insert(rng.randint(0, len(goals)), "!")
+            line = f"{head} :- {', '.join(goals)}."
+        elif not line.startswith(":-") and rng.random() < 0.15:
+            line = f"{line[:-1]} :- !."
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_cut_programs_agree_with_sld_in_order():
+    completed = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        src, query = generate_program(rng)
+        program = parse_program(with_cuts(src, rng))
+        atoms, _ = parse_query(query)
+        ref = sld_solve(program, atoms, depth_bound=6)
+        if ref.status != "complete":
+            continue
+        completed += 1
+        want = list(dict.fromkeys(canonicalize(a) for a in ref.answers))
+        assert [canonicalize(a) for a in tp_solve(program, atoms).answers] == want, seed
+    assert completed >= 200
+
+
+# -- ancestors are read off the goal list -----------------------------------
+
+
+def test_variant_is_found_across_an_untabled_call():
+    # parse_program would table q, which is on the p-q cycle; left untabled
+    # here, the variant p(X) below q(X) is still found
+    parsed = parse_program("p(X) :- q(X).\nq(X) :- p(X).\nq(a).\n")
+    program = Program(parsed.clauses, parsed.by_predicate, parsed.declared_tabled,
+                      frozenset({("p", 1)}))
+    r = tp_solve(program, "p(X)", step_budget=3000)
+    assert (r.status, answers_of(r), r.engine._steps) == ("complete", ["(a)"], 16)

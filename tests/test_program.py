@@ -5,7 +5,6 @@ from lintab.program import (
     ParseError,
     classify_tabled,
     dependency_graph,
-    format_clause,
     parse_program,
     parse_query,
 )
@@ -70,15 +69,6 @@ def test_clause_variables_are_scoped_per_clause():
 def test_anonymous_variables_are_distinct():
     head = parse_program("p(_,_).\n").clauses[0].head
     assert head.args[0] != head.args[1]
-
-
-def test_source_round_trip(load):
-    pr = parse_program(load("p1.pl"))
-    pr2 = parse_program(pr.source())
-    assert [format_clause(c) for c in pr2.clauses] == [
-        format_clause(c) for c in pr.clauses
-    ]
-    assert pr2.tabled == pr.tabled
 
 
 @pytest.mark.parametrize(
