@@ -2,8 +2,9 @@
 
 ``tp run PROGRAM -q QUERY`` evaluates a query against a program file with
 the tabled engine (default) or one of the reference evaluators.  Ground
-queries answer ``yes`` or ``no``; queries with variables print one binding
-line per answer (``X = a, Y = b``) followed by ``no`` once exhausted.
+queries, and queries whose only variables are anonymous (``_``), answer
+``yes`` or ``no``; other queries print one binding line per answer
+(``X = a, Y = b``, leaving ``_`` out) followed by ``no`` once exhausted.
 ``--interactive`` reads queries at a ``?- `` prompt and answers them the
 same way with every engine, but waits after each binding line: ``;`` asks
 for the next answer.  ``--trace`` and ``--dump-tables`` (tp only) work in
@@ -64,9 +65,10 @@ def _replay(result: OracleResult) -> Iterator[tuple[Term, ...]]:
 
 def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
     """Answer one query the way a Prolog top level does and return the exit
-    code.  A ground query prints ``yes`` or ``no``; otherwise each answer is
-    a binding line, and ``more()`` decides after each one whether to go on
-    (``no`` follows once the answers run out)."""
+    code.  A query with no variables but ``_`` prints ``yes`` or ``no``;
+    otherwise each answer is a binding line of its named variables, and
+    ``more()`` decides after each one whether to go on (``no`` follows once
+    the answers run out)."""
     engine = None
     code = EXIT_OK
     try:
@@ -81,12 +83,14 @@ def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
                                         occurs_check=cfg.occurs_check))
         else:
             answers = iter(bottomup_solve(program, atoms).answers)
-        if not qvars:
+        # anonymous variables are not reported, as at a Prolog top level
+        shown = [i for i, v in enumerate(qvars) if v.name != "_"]
+        if not shown:
             out.write("yes\n" if next(answers, None) is not None else "no\n")
         else:
-            names = [v.name for v in qvars]
+            names = [qvars[i].name for i in shown]
             for tup in answers:
-                canon = canonicalize(tuple(tup))
+                canon = canonicalize(tuple(tup[i] for i in shown))
                 out.write(", ".join(f"{n} = {format_term(v)}"
                                     for n, v in zip(names, canon)) + "\n")
                 if not more():

@@ -18,6 +18,14 @@ and the outermost call of a loop re-evaluates its clauses until a pass adds
 no answer anywhere, then marks its table complete.  Clause status bits let
 exhausted or cut-away clauses drop out of later passes.
 
+A node's goal list is a chain of ``(item, rest)`` cells ending in None, and
+like a Prolog continuation it is shared, not copied: a clause body is pushed
+onto the tail its call leaves, a cut's continuation is that tail as it is,
+and a binding rebuilds only the cells up to and including the first pending
+memo-look.  A step therefore costs what its body and that prefix cost,
+whatever the depth of the derivation.  Ground terms are shared too: a ground
+call or answer is its own canonical form and its own renaming.
+
 A call's ancestors are the origins of the memo-looks pending behind it in
 its goal list, nearest first: the frames its continuation has yet to return
 through.  The search sees through non-tabled calls, which plant none; it
@@ -116,21 +124,32 @@ class CutItem:
 
 
 GoalItem = Struct | MemoLook | Answer | CutItem
+# a goal list is a chain of (item, rest) cells, None when empty
+Goals = tuple | None
 
 
-def _subst_prefix(items: tuple[GoalItem, ...], s: Subst) -> tuple[GoalItem, ...]:
+def _push(items: Sequence[GoalItem], rest: Goals) -> Goals:
+    """The goal list of ``items`` followed by ``rest``, which is shared."""
+    for item in reversed(items):
+        rest = (item, rest)
+    return rest
+
+
+def _subst_prefix(goals: Goals, s: Subst) -> Goals:
     """Apply a substitution up to and including the first memo-look; the
-    suffix past it belongs to outer pending calls and stays untouched."""
+    cells past it belong to outer pending calls and are shared as they are."""
     if not s:
-        return items
-    out: list[GoalItem] = []
-    it = iter(items)
-    for item in it:
-        out.append(apply(item, s) if type(item) is Struct else item.substituted(s))
-        if type(item) is MemoLook:
-            break
-    out.extend(it)
-    return tuple(out)
+        return goals
+    done: list[GoalItem] = []
+    while goals is not None:
+        item, goals = goals
+        if type(item) is Struct:
+            done.append(apply(item, s))
+        else:
+            done.append(item.substituted(s))
+            if type(item) is MemoLook:
+                break
+    return _push(done, goals)
 
 
 class Node:
@@ -153,7 +172,7 @@ class Node:
         "call_vars",
     )
 
-    def __init__(self, id_: int, parent: "Node | None", items: tuple[GoalItem, ...],
+    def __init__(self, id_: int, parent: "Node | None", items: Goals,
                  origin_kind: str, pass_mark: int) -> None:
         self.id = id_
         self.parent = parent
@@ -233,7 +252,7 @@ class TPEngine:
     # Every event is built behind an ``if self._sink is not None`` check at
     # its call site, so a run without a sink pays nothing for its fields.
 
-    def _register(self, items: tuple[GoalItem, ...], parent: Node | None,
+    def _register(self, items: Goals, parent: Node | None,
                   origin_kind: str) -> Node:
         node = Node(self._next_id, parent, items, origin_kind, self.tables.memo_count)
         self._next_id += 1
@@ -275,7 +294,7 @@ class TPEngine:
         self._fresh = FreshVars(max_var_id(tuple(query)) + 1)
 
         qvars = vars_of(tuple(query))
-        items: tuple[GoalItem, ...] = (*query, Answer(tuple(qvars)))
+        items = _push(query, (Answer(tuple(qvars)), None))
         node: Node | None = self._register(items, None, "root")
         if self._sink is not None:
             self._expanded(node)
@@ -295,7 +314,7 @@ class TPEngine:
             elif isinstance(head, CutItem):
                 # a cut that executes commits its origin's clause choice
                 head.origin.susp = 0
-                node = self._register(node.items[1:], node, "cut")
+                node = self._register(node.items[1], node, "cut")
                 if self._sink is not None:
                     self._expanded(node)
             elif isinstance(head, Answer):
@@ -326,7 +345,7 @@ class TPEngine:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
         tup = rename_apart(stored, self._fresh)
         theta = dict(zip(owner.call_vars, tup))
-        items = _subst_prefix(node.items[1:], theta)
+        items = _subst_prefix(node.items[1], theta)
         child = self._register(items, node, source)
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
@@ -335,8 +354,9 @@ class TPEngine:
     def _tabled_call(self, node: Node, atom: Struct) -> Node | None:
         if node.table is None:
             n_clauses = len(self.program.by_predicate.get((atom.functor, len(atom.args)), ()))
-            node.table, _ = self.tables.get_or_create(atom, n_clauses)
-            node.call_vars = tuple(vars_of(atom))
+            call_vars: dict[Var, Var] = {}
+            node.table, _ = self.tables.get_or_create(atom, n_clauses, call_vars)
+            node.call_vars = tuple(call_vars)
         tbl = node.table
 
         # table first: consume answers before touching clauses
@@ -387,7 +407,9 @@ class TPEngine:
         """Find the nearest ancestor call sharing the node's table and, if
         there is one, reflag the loop path from it down to the node."""
         path = [node]
-        for item in islice(node.items, 1, None):
+        cell = node.items[1]
+        while cell is not None:
+            item, cell = cell
             if type(item) is MemoLook:
                 top = item.origin
                 path.append(top)
@@ -443,12 +465,12 @@ class TPEngine:
                         for b in cl.body]
                 if tabled:
                     values = apply_tuple(node.call_vars, theta)
-                    items = tuple(body) + (MemoLook(node, values),) + node.items[1:]
+                    items = _push(body, (MemoLook(node, values), node.items[1]))
                     child = self._register(items, node, "clause")
                     if self._sink is not None:
                         self._expanded(child, clause=cl.label, ord=cl.ordinal, anc=node.anc)
                     return child
-                items = tuple(body) + _subst_prefix(node.items[1:], theta)
+                items = _push(body, _subst_prefix(node.items[1], theta))
                 child = self._register(items, node, "clause")
                 if self._sink is not None:
                     self._expanded(child, clause=cl.label, ord=cl.ordinal)

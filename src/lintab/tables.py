@@ -6,6 +6,8 @@ subgoal's distinct variables (first-occurrence order), appended in
 derivation order and never removed; duplicates up to renaming are dropped.
 Each table also carries one status bit per defining clause (cleared when
 resolution proves a clause exhausted or cut away) and a completion flag.
+A ground subgoal or answer is its own canonical form and is kept as it
+comes, without a copy.
 
 The store keeps two global memo counters: a boolean flag cleared at the
 start of every re-evaluation pass, and a monotone count of all answers
@@ -17,7 +19,7 @@ a ground subgoal's empty tuple is the degenerate case.
 
 from __future__ import annotations
 
-from .terms import Struct, Term, canonicalize, format_term, format_tuple, vars_of
+from .terms import Struct, Term, Var, canonicalize, format_term, format_tuple, vars_of
 
 __all__ = ["Table", "TableStore"]
 
@@ -50,8 +52,13 @@ class TableStore:
     def get(self, subgoal: Struct) -> Table | None:
         return self.tables.get(canonicalize(subgoal))
 
-    def get_or_create(self, subgoal: Struct, n_clauses: int) -> tuple[Table, bool]:
-        key = canonicalize(subgoal)
+    def get_or_create(self, subgoal: Struct, n_clauses: int,
+                      mapping: dict[Var, Var] | None = None) -> tuple[Table, bool]:
+        """The subgoal's table and whether it was just made.  A ground
+        subgoal is its own key; ``mapping``, when given, receives the
+        subgoal's variables in first-occurrence order, as ``canonicalize``
+        fills it."""
+        key = canonicalize(subgoal, mapping)
         t = self.tables.get(key)
         if t is not None:
             return t, False

@@ -236,27 +236,55 @@ def unify(a: Term, b: Term, subst: Subst | None = None, occurs_check: bool = Fal
     return s
 
 
-def canonicalize(x):
+def _ground(x) -> bool:
+    """Whether no variable occurs in a term or tuple of terms: a flat check
+    of the top level, walking only the compound terms."""
+    if type(x) is Struct:
+        x = x.args
+    elif type(x) is not tuple:
+        return type(x) is Const
+    for t in x:
+        if type(t) is Const:
+            continue
+        if type(t) is Var:
+            return False
+        stack = list(t.args)
+        while stack:
+            a = stack.pop()
+            if type(a) is Var:
+                return False
+            if type(a) is Struct:
+                stack.extend(a.args)
+    return True
+
+
+def canonicalize(x, mapping: dict[Var, Var] | None = None):
     """Rename variables to a canonical series in first-occurrence order.
 
     Canonical variables have negative ids so they can never collide with
     parsed or freshly generated ones.  Accepts a term or a tuple of terms
-    (renamed jointly) and returns the same shape.
+    (renamed jointly) and returns the same shape; a ground one is its own
+    canonical form and comes back as the same object.  A ``mapping``, when
+    given, receives each variable with its canonical name, in
+    first-occurrence order.
 
     >>> format_term(canonicalize(Struct("p", (Var(7, "A"), Const("a"), Var(7, "A")))))
     'p(_0,a,_0)'
     """
-    mapping: dict[Var, Var] = {}
+    if _ground(x):
+        return x
+    if mapping is None:
+        mapping = {}
 
     def repl(t: Term) -> Term:
-        if isinstance(t, Var):
+        if type(t) is Var:
             c = mapping.get(t)
             if c is None:
                 k = len(mapping)
                 c = Var(-(k + 1), f"_{k}")
                 mapping[t] = c
             return c
-        if isinstance(t, Const):
+        if type(t) is Const:
             return t
         return Struct(t.functor, tuple(repl(a) for a in t.args))
 
@@ -269,8 +297,12 @@ def rename_apart(x, fresh: FreshVars, mapping: dict[Var, Var] | None = None):
     """Consistent fresh renaming of a term or tuple of terms.
 
     Passing the same ``mapping`` across calls keeps the renaming consistent
-    between them (the second call reuses names picked by the first).
+    between them (the second call reuses names picked by the first).  A
+    ground term or tuple is its own renaming: it comes back as the same
+    object and draws no fresh variable.
     """
+    if _ground(x):
+        return x
     if mapping is None:
         mapping = {}
 

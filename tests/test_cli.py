@@ -31,6 +31,26 @@ def test_ground_query_yes_no(program_path):
     assert invoke(program_path("p5_3.pl"), "not_p(a)")[:2] == (EXIT_OK, "yes\n")
 
 
+@pytest.mark.parametrize("query", ["reach(a,_)", "reach(a,_), reach(a,_)"])
+def test_anonymous_variables_answer_yes_no(program_path, query):
+    assert invoke(program_path("p1.pl"), query) == (EXIT_OK, "yes\n", "")
+    assert invoke(program_path("p1.pl"), query.replace("reach", "edge"))[:2] == (EXIT_OK, "yes\n")
+    assert invoke(program_path("p1.pl"), query.replace("reach(a", "edge(e"))[:2] == (
+        EXIT_OK, "no\n")
+    stdin = query + ".\nhalt.\n"
+    assert invoke(program_path("p1.pl"), stdin=stdin, interactive=True)[:2] == (
+        EXIT_OK, "?- yes\n?- ")
+
+
+def test_anonymous_variables_are_left_out_of_bindings(program_path):
+    code, out, err = invoke(program_path("p1.pl"), "reach(X,_)")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == ["X = _0", "X = a", "X = d", "X = _0", "X = _0", "no"]
+    stdin = "reach(X,_).\n" + ";\n" * 5 + "halt.\n"
+    transcript = invoke(program_path("p1.pl"), stdin=stdin, interactive=True)[1]
+    assert transcript.replace("?- ", "") == out
+
+
 def test_unknown_predicate_is_just_empty(program_path):
     code, out, err = invoke(program_path("p1.pl"), "zzz(a)")
     assert (code, out, err) == (EXIT_OK, "no\n", "")

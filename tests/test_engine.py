@@ -421,3 +421,58 @@ def test_variant_is_found_across_an_untabled_call():
                       frozenset({("p", 1)}))
     r = tp_solve(program, "p(X)", step_budget=3000)
     assert (r.status, answers_of(r), r.engine._steps) == ("complete", ["(a)"], 16)
+
+
+# -- answers that are not ground or not function-free -----------------------
+# Every golden answer is a ground constant tuple; these pin the paths a
+# non-ground or compound answer takes through memo, fetch and renaming:
+# canonical answers, table dump, _steps, event count and trace sha256.
+
+FALL_THROUGH = {
+    "non-ground": (
+        ":- table p/2.\np(X,Y) :- p(X,Y).\np(a,Y).\np(X,b).\n",
+        "p(X,Y)",
+        ["(a,_0)", "(_0,b)"],
+        ["TB(p(_0,_1)): answers=[(a,_0),(_0,b)] status=[1,0,0] comp=1"],
+        17, 40, "bd63ec80b91c8829e6bbf1dfb875665282938eac7c5820417aaf2d0ca0447838",
+    ),
+    "compound": (
+        ":- table r/2.\nr(X,Y) :- r(X,Z), e(Z,Y).\nr(X,Y) :- e(X,Y).\n"
+        "e(f(a),g(b)).\ne(g(b),f(a)).\ne(g(b),h(f(a),c)).\n",
+        "r(f(a),Y)",
+        ["(g(b))", "(f(a))", "(h(f(a),c))"],
+        ["TB(r(f(a),_0)): answers=[(g(b)),(f(a)),(h(f(a),c))] status=[1,0] comp=1"],
+        35, 63, "bb0b39f8367bffff721c74a724220a9f05345b54cc713f03bb2380b946db3a71",
+    ),
+    "mixed-with-cut": (
+        ":- table p/2.\np(X,Y) :- p(X,Z), s(Z,Y).\np(a,f(W)).\np(b,g(b)).\n"
+        "p(X,h(X)) :- q(X), !.\ns(f(V),g(V)) :- !.\ns(g(b),f(c)).\ns(h(a),k(a,_)).\n"
+        "q(c).\nq(a).\n",
+        "p(X,Y)",
+        ["(a,f(_0))", "(a,g(_0))", "(a,f(c))", "(a,g(c))", "(b,g(b))", "(b,f(c))",
+         "(b,g(c))", "(c,h(c))"],
+        ["TB(p(_0,_1)): answers=[(a,f(_0)),(a,g(_0)),(a,f(c)),(a,g(c)),(b,g(b)),"
+         "(b,f(c)),(b,g(c)),(c,h(c))] status=[1,0,0,0] comp=1"],
+        73, 145, "c9a688c284dc62bf3e7cc8ba7b8f0bcf2d21509ea862cdf5140d9ab359228768",
+    ),
+    # each fetch renames the stored f(_0) apart, so A and B do not alias
+    "fetched-twice": (
+        ":- table p/1.\np(f(_)).\neq(X,X).\n",
+        "p(A), p(B), eq(A,f(a)), eq(B,f(b))",
+        ["(f(a),f(b))"],
+        ["TB(p(_0)): answers=[(f(_0))] status=[0] comp=1"],
+        12, 19, "f9e48ecf1f3f8062cc3151ac4026fb09b0d3d1009509f41da32e144bce1641a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FALL_THROUGH)
+def test_non_ground_and_compound_answers_are_pinned(name):
+    source, query, answers, dump, steps, n_events, digest = FALL_THROUGH[name]
+    r = tp_solve(source, query)
+    assert r.status == "complete"
+    assert [format_tuple(canonicalize(a)) for a in r.answers] == answers
+    assert r.engine.tables.dump() == dump
+    lines = [format_event(e) for e in r.engine.events]
+    assert r.engine._steps == steps
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (n_events, digest)

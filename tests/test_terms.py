@@ -138,6 +138,37 @@ def test_fresh_vars_monotone():
     assert u.id == 5 and v.id == 6
 
 
+def shown(x):
+    return format_tuple(x) if isinstance(x, tuple) else format_term(x)
+
+
+GROUND = [
+    p(a, b),
+    (a, b),
+    (p(a), Struct("f", (Struct("g", (a,)),))),
+    Struct("f", (Struct("g", (a,)),)),
+    a,
+    (),
+]
+
+
+@pytest.mark.parametrize("t", GROUND, ids=shown)
+def test_ground_terms_pass_through(t):
+    assert canonicalize(t) is t
+    mapping = {}
+    assert canonicalize(t, mapping) is t and mapping == {}
+    fresh = FreshVars(7)
+    assert rename_apart(t, fresh) is t
+    assert rename_apart(t, fresh, mapping) is t and mapping == {}
+    assert fresh.new().id == 7
+
+
+def test_canonicalize_fills_the_mapping_in_first_occurrence_order():
+    mapping = {}
+    assert format_term(canonicalize(p(Z, a, X, Z), mapping)) == "p(_0,a,_1,_0)"
+    assert list(mapping) == [Z, X] == vars_of(p(Z, a, X, Z))
+
+
 # -- properties ---------------------------------------------------------
 
 consts = st.sampled_from([a, b])
@@ -170,3 +201,38 @@ def test_unify_produces_a_unifier(t1, t2):
     s = unify(t1, t2, occurs_check=True)
     if s is not None:
         assert apply(t1, s) == apply(t2, s)
+
+
+# canonicalize and rename_apart pass a ground term through unchanged; on
+# every term they must agree with a plain structural walk that copies it
+
+
+def structural_walk(x, new_var):
+    mapping = {}
+
+    def walk(t):
+        if isinstance(t, Var):
+            if t not in mapping:
+                mapping[t] = new_var(len(mapping))
+            return mapping[t]
+        if isinstance(t, Const):
+            return Const(t.name)
+        return Struct(t.functor, tuple(walk(u) for u in t.args))
+
+    return tuple(walk(t) for t in x) if isinstance(x, tuple) else walk(x)
+
+
+@given(terms | st.tuples(terms, terms))
+def test_canonicalize_equals_a_structural_walk(x):
+    want = structural_walk(x, lambda k: Var(-(k + 1), f"_{k}"))
+    got = canonicalize(x)
+    assert got == want and shown(got) == shown(want)
+
+
+@given(terms | st.tuples(terms, terms))
+def test_rename_apart_equals_a_structural_walk(x):
+    fresh = FreshVars(100)
+    got = rename_apart(x, fresh)
+    want = structural_walk(x, lambda k: Var(100 + k, f"_G{100 + k}"))
+    assert got == want and shown(got) == shown(want)
+    assert fresh.new().id == 100 + len(vars_of(x))
