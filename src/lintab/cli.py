@@ -9,14 +9,16 @@ queries, and queries whose only variables are anonymous (``_``), answer
 same way with every engine, but waits after each binding line: ``;`` asks
 for the next answer.  ``--trace`` and ``--dump-tables`` (tp only) work in
 both modes.  Unknown predicates simply have empty relations.  Exit codes:
-0 for a clean run (including ``no``), 1 for usage, file, or parse problems
-and for a cyclic binding made without ``--occurs-check`` (tp and sld), 2
-when a resource limit stopped the run before exhaustion.
+0 for a clean run (including ``no``), 1 for usage, file, or parse problems,
+for a cyclic binding made without ``--occurs-check`` (tp and sld) and when
+standard output is closed before the answers are written, 2 when a
+resource limit stopped the run before exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,10 +157,14 @@ def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     except ParseError as e:
         err.write(f"error: {cfg.program_path}: {e}\n")
         return EXIT_USAGE
-    if cfg.interactive:
-        return _repl(program, cfg, inp, out, err)
-    assert cfg.query is not None
-    return _query(program, cfg, cfg.query, out, err, more=lambda: True)
+    try:
+        if cfg.interactive:
+            return _repl(program, cfg, inp, out, err)
+        assert cfg.query is not None
+        return _query(program, cfg, cfg.query, out, err, more=lambda: True)
+    except BrokenPipeError:
+        # the reader of the answers went away (``| head -1``)
+        return EXIT_USAGE
 
 
 def main(argv=None) -> int:
@@ -205,7 +211,15 @@ def main(argv=None) -> int:
         occurs_check=args.occurs_check,
         interactive=args.interactive,
     )
-    return run(cfg)
+    code = run(cfg)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the interpreter's own
+        # flush at exit neither fails nor reports on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ from .terms import (
     Subst,
     Term,
     Var,
+    _ground,
     apply,
     apply_tuple,
     canonicalize,
@@ -238,7 +239,7 @@ class TPEngine:
                 const_pos = tuple(
                     (j, a.name) for j, a in enumerate(cl.head.args) if isinstance(a, Const)
                 )
-                ground = not vars_of((cl.head,) + rest)
+                ground = _ground((cl.head,) + rest)
                 self._clause_info[id(cl)] = (rest, const_pos, ground)
                 if const_pos and const_pos[0][0] == 0:
                     by_const.setdefault(const_pos[0][1], []).append(i)

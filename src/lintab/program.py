@@ -1,20 +1,32 @@
 """Source syntax, parser, and static predicate classification.
 
-Programs are plain text: one clause per line or many, ``%`` comments,
-``.`` terminators, ``,`` conjunction, ``:-`` between head and body, ``!``
-for cut.  A directive ``:- table p/2.`` forces tabling of a predicate;
-independently of directives, every predicate on a cycle of the predicate
-dependency graph (including self-loops) is tabled.  The control predicates
-``memo_look`` and ``return`` are reserved for the engine and rejected in
-source.  There are no built-ins: an undefined predicate (``fail`` by
-convention) simply has an empty relation.
+Programs are plain text: one clause per line or many, ``.`` terminators,
+``,`` conjunction, ``:-`` between head and body, ``!`` for cut, and ``%``
+comments that run to the end of the line.  Names start with a lower-case
+letter, variables with a capital or ``_`` (``_`` alone is anonymous), and
+integers are constants.  A directive ``:- table p/2.`` forces tabling of a
+predicate; independently of directives, every predicate on a cycle of the
+predicate dependency graph (including self-loops) is tabled.  The control
+predicates ``memo_look`` and ``return`` are reserved for the engine and
+rejected in source.  There are no built-ins: an undefined predicate
+(``fail`` by convention) simply has an empty relation.
+
+Parsing is one regex pass over the text into ``(kind, text, offset)``
+tokens, then a recursive-descent pass over the tokens that nests terms on
+an explicit stack, so term depth is limited by memory only.  A
+``ParseError`` carries the 1-based line and column of the offending token,
+counted in characters, and computed from its offset only when raised.  An
+unexpected character anywhere in the text is reported before any syntax
+error.  Variables are numbered in order of first occurrence across the
+whole text; their names are scoped to one clause.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from itertools import count
+from typing import Iterator, Union
 
 from .terms import Const, Struct, Term, Var, vars_of
 
@@ -80,168 +92,187 @@ class Program:
     tabled: frozenset[PredKey]
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
+# One pass of this pattern is one token: the layout before it (whitespace
+# and ``%`` comments) is skipped inside the match, and the named group that
+# matched is the token's kind.  The ``bad`` group takes the rest of the text
+# from an unexpected character on, so a lexical error is the last token
+# but for ``eof``.  Some alternative always matches after the layout (``eof``
+# at the end), so the layout loop never backtracks.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<name>[a-z][A-Za-z0-9_]*)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<int>\d+)
-      | (?P<neck>:-)
-      | (?P<punct>[(),.!/])
+    r"""(?:\s+|%[^\n]*)*
+      (?: (?P<name>[a-z][A-Za-z0-9_]*)
+        | (?P<var>[A-Z_][A-Za-z0-9_]*)
+        | (?P<int>\d+)
+        | (?P<punct>:-|[(),.!/])
+        | (?P<bad>.+)
+        | (?P<eof>\Z) )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+_Token = tuple[str, str, int]  # kind, text, offset into the source
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    """The tokens of ``text``, ending in ``eof`` (text ``""``)."""
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        append((kind, m[kind], m.start(kind)))
+    # after the last token (or trailing layout) finditer may yield one more,
+    # empty, eof match, so a bad character is the last or next-to-last token
+    for kind, chunk, offset in tokens[-2:]:
+        if kind == "bad":
+            raise _error(f"unexpected character {chunk[0]!r}", text, offset)
     return tokens
 
 
+def _error(message: str, text: str, offset: int) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 class _Parser:
+    """Recursive-descent over a token list, with an explicit stack for term
+    nesting.  The parsing methods take the index of their first token and
+    return what they parsed with the index after it."""
+
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
-        self._var_ids = 0
+        self.var_ids = count()
         self.scope: dict[str, Var] = {}
+        # one Const per name, as in a Prolog atom table
+        self.consts: dict[str, Const] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def expected(self, want: str, i: int) -> ParseError:
+        kind, text, offset = self.tokens[i]
+        return _error(f"expected {want!r}, found {text or 'end of input'!r}", self.text, offset)
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def atom(self, i: int) -> tuple[Struct, int]:
+        kind, name, offset = self.tokens[i]
+        if kind != "name":
+            raise self.expected("name", i)
+        if name in RESERVED:
+            raise _error(f"{name!r} is reserved for the engine", self.text, offset)
+        if self.tokens[i + 1][1] == "(":
+            return self.compound(name, i + 2)
+        return Struct(name, ()), i + 1
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            got = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(f"expected {want!r}, found {got!r}", t.line, t.col)
-        return self.next()
+    def compound(self, functor: str, i: int) -> tuple[Struct, int]:
+        """The arguments of ``functor`` from ``tokens[i]``, just past its
+        ``(``, to the matching ``)``."""
+        tokens = self.tokens
+        scope = self.scope
+        consts = self.consts
+        var_ids = self.var_ids
+        outer: list[tuple[str, list[Term]]] = []  # the enclosing compounds
+        args: list[Term] = []
+        while True:
+            kind, text, offset = tokens[i]
+            i += 1
+            if kind == "var":
+                if text == "_":
+                    term = Var(next(var_ids), "_")
+                else:
+                    term = scope.get(text)
+                    if term is None:
+                        term = scope[text] = Var(next(var_ids), text)
+            elif kind == "name" and tokens[i][1] == "(":
+                outer.append((functor, args))
+                functor, args = text, []
+                i += 1
+                continue
+            elif kind == "name" or kind == "int":
+                term = consts.get(text)
+                if term is None:
+                    term = consts[text] = Const(text)
+            else:
+                raise _error(f"expected a term, found {text or 'end of input'!r}",
+                             self.text, offset)
+            args.append(term)
+            while True:
+                sep = tokens[i][1]
+                if sep == ",":
+                    i += 1
+                    break
+                if sep != ")":
+                    raise self.expected(")", i)
+                i += 1
+                term = Struct(functor, tuple(args))
+                if not outer:
+                    return term, i
+                functor, args = outer.pop()
+                args.append(term)
 
-    def fresh_scope(self) -> None:
-        self.scope = {}
-
-    def var(self, name: str) -> Var:
-        if name == "_":
-            v = Var(self._var_ids, "_")
-            self._var_ids += 1
-            return v
-        v = self.scope.get(name)
-        if v is None:
-            v = Var(self._var_ids, name)
-            self._var_ids += 1
-            self.scope[name] = v
-        return v
-
-    def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "var":
-            self.next()
-            return self.var(t.text)
-        if t.kind == "int":
-            self.next()
-            return Const(t.text)
-        if t.kind == "name":
-            self.next()
-            if self.peek().kind == "punct" and self.peek().text == "(":
-                return Struct(t.text, self.args())
-            return Const(t.text)
-        raise ParseError(f"expected a term, found {t.text or 'end of input'!r}", t.line, t.col)
-
-    def args(self) -> tuple[Term, ...]:
-        self.expect("punct", "(")
-        out = [self.term()]
-        while self.peek().text == ",":
-            self.next()
-            out.append(self.term())
-        self.expect("punct", ")")
-        return tuple(out)
-
-    def atom(self) -> Struct:
-        t = self.expect("name")
-        if t.text in RESERVED:
-            raise ParseError(f"{t.text!r} is reserved for the engine", t.line, t.col)
-        if self.peek().kind == "punct" and self.peek().text == "(":
-            return Struct(t.text, self.args())
-        return Struct(t.text, ())
-
-    def body(self) -> tuple[BodyItem, ...]:
+    def body(self, i: int) -> tuple[tuple[BodyItem, ...], int]:
+        tokens = self.tokens
         items: list[BodyItem] = []
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text == "!":
-                self.next()
+            if tokens[i][1] == "!":
                 items.append(CUT)
+                i += 1
             else:
-                items.append(self.atom())
-            if self.peek().text == ",":
-                self.next()
-                continue
-            return tuple(items)
+                atom, i = self.atom(i)
+                items.append(atom)
+            if tokens[i][1] != ",":
+                return tuple(items), i
+            i += 1
 
-    def directive(self) -> PredKey:
-        t = self.expect("name")
-        if t.text != "table":
-            raise ParseError(f"unknown directive {t.text!r}", t.line, t.col)
-        name = self.expect("name").text
-        self.expect("punct", "/")
-        arity = int(self.expect("int").text)
-        self.expect("punct", ".")
-        return (name, arity)
+    def directive(self, i: int) -> tuple[PredKey, int]:
+        """``table name/arity.`` from ``tokens[i]``, just past the ``:-``."""
+        tokens = self.tokens
+        kind, text, offset = tokens[i]
+        if kind != "name":
+            raise self.expected("name", i)
+        if text != "table":
+            raise _error(f"unknown directive {text!r}", self.text, offset)
+        kind, name, _ = tokens[i + 1]
+        if kind != "name":
+            raise self.expected("name", i + 1)
+        if tokens[i + 2][1] != "/":
+            raise self.expected("/", i + 2)
+        kind, digits, offset = tokens[i + 3]
+        if kind != "int":
+            raise self.expected("int", i + 3)
+        try:
+            arity = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise _error(f"arity of {len(digits)} digits is too large",
+                         self.text, offset) from None
+        if tokens[i + 4][1] != ".":
+            raise self.expected(".", i + 4)
+        return (name, arity), i + 5
 
 
 def parse_program(text: str) -> Program:
     p = _Parser(text)
-    raw: list[tuple[Struct, tuple[BodyItem, ...]]] = []
-    declared: set[PredKey] = set()
-    while p.peek().kind != "eof":
-        if p.peek().kind == "neck":
-            p.next()
-            declared.add(p.directive())
-            continue
-        p.fresh_scope()
-        head = p.atom()
-        body: tuple[BodyItem, ...] = ()
-        if p.peek().kind == "neck":
-            p.next()
-            body = p.body()
-        p.expect("punct", ".")
-        raw.append((head, body))
-
+    tokens = p.tokens
     clauses: list[Clause] = []
     grouped: dict[PredKey, list[Clause]] = {}
-    for head, body in raw:
-        group = grouped.setdefault((head.functor, len(head.args)), [])
+    declared: set[PredKey] = set()
+    i = 0
+    while True:
+        kind, tok, _ = tokens[i]
+        if kind == "eof":
+            break
+        if tok == ":-":
+            key, i = p.directive(i + 1)
+            declared.add(key)
+            continue
+        p.scope = {}
+        head, i = p.atom(i)
+        body: tuple[BodyItem, ...] = ()
+        if tokens[i][1] == ":-":
+            body, i = p.body(i + 1)
+        if tokens[i][1] != ".":
+            raise p.expected(".", i)
+        i += 1
+        key = (head.functor, len(head.args))
+        group = grouped.get(key)
+        if group is None:
+            group = grouped[key] = []
         n = len(group) + 1
         c = Clause(head, body, n, f"{head.functor}{n}")
         group.append(c)
@@ -257,21 +288,23 @@ def parse_query(text: str) -> tuple[tuple[Struct, ...], list[Var]]:
     """Parse a conjunctive query; returns the atoms and the distinct query
     variables in first-occurrence order.  Cut is not allowed in queries."""
     p = _Parser(text)
+    tokens = p.tokens
     atoms: list[Struct] = []
+    i = 0
     while True:
-        t = p.peek()
-        if t.kind == "punct" and t.text == "!":
-            raise ParseError("cut is not allowed in queries", t.line, t.col)
-        atoms.append(p.atom())
-        if p.peek().text == ",":
-            p.next()
-            continue
-        break
-    if p.peek().text == ".":
-        p.next()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {t.text!r} after query", t.line, t.col)
+        kind, tok, offset = tokens[i]
+        if tok == "!":
+            raise _error("cut is not allowed in queries", text, offset)
+        atom, i = p.atom(i)
+        atoms.append(atom)
+        if tokens[i][1] != ",":
+            break
+        i += 1
+    if tokens[i][1] == ".":
+        i += 1
+    kind, tok, offset = tokens[i]
+    if kind != "eof":
+        raise _error(f"unexpected {tok!r} after query", text, offset)
     return tuple(atoms), vars_of(atoms)
 
 

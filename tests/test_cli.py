@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +269,59 @@ def test_main_help_is_clean(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert "tp" in captured.out
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader goes away after the first line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("interactive", [False, True])
+def test_closed_stdout_exits_1_quietly(program_path, interactive):
+    cfg = RunConfig(program_path=program_path("p1.pl"), interactive=interactive,
+                    query=None if interactive else "reach(X,Y)")
+    out, err = _ClosedAfterOneLine(), io.StringIO()
+    stdin = io.StringIO("reach(X,Y).\n;\n;\n;\n")
+    assert run(cfg, stdin=stdin, stdout=out, stderr=err) == EXIT_USAGE
+    assert out.getvalue().replace("?- ", "") == "X = _0, Y = _0\n"
+    assert err.getvalue() == ""
+
+
+def _tp(args, unbuffered, stdout):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.Popen([sys.executable, "-m", "lintab.cli", "run", *args],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_pipe_closed_after_one_line_exits_1_quietly(tmp_path, unbuffered):
+    # more answers than a pipe holds, so the writer is still writing
+    # when the reader closes its end
+    prog = tmp_path / "n.pl"
+    prog.write_text("".join(f"n(k{i}).\n" for i in range(20_000)))
+    proc = _tp([str(prog), "-q", "n(X)"], unbuffered, subprocess.PIPE)
+    assert proc.stdout.readline() == b"X = k0\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_pipe_closed_before_any_answer_exits_1_quietly(program_path, unbuffered):
+    # buffered, every answer is still in the buffer when the run ends, so
+    # the failing write is the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _tp([program_path("p1.pl"), "-q", "reach(X,Y)"], unbuffered, write_end)
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert stderr == b""

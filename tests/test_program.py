@@ -1,5 +1,10 @@
-import pytest
+import random
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lintab.oracle import generate_program
 from lintab.program import (
     CUT,
     ParseError,
@@ -111,3 +116,121 @@ def test_parse_query_ground():
 def test_parse_query_rejects_cut():
     with pytest.raises(ParseError, match="cut is not allowed"):
         parse_query("p(X), !")
+
+
+def _raises(parse, src):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    e = exc.value
+    return e.message, e.line, e.col
+
+
+# every raise site, with the position counted in characters from 1
+@pytest.mark.parametrize(
+    "src, message, line, col",
+    [
+        # unexpected character: after comments, tabs, CRLF, at the end
+        ("% one\n% two, p(x).\n%\np(a).\n  # q(b).", "unexpected character '#'", 5, 3),
+        ("p(a).\n\t\tq(\t$).", "unexpected character '$'", 2, 6),
+        ("p(a).\r\nq(b).\r\n@", "unexpected character '@'", 3, 1),
+        ("p(a).\r\nq(b) :- r(c) ?\r\n", "unexpected character '?'", 2, 14),
+        ("p(a).\nq(b) :- p(a)?", "unexpected character '?'", 2, 13),
+        # a lexical error anywhere wins over a syntax error before it
+        ("p(a b).\nq(c) :- -", "unexpected character '-'", 2, 9),
+        ("p :- q: r.", "unexpected character ':'", 1, 7),
+        # directives
+        (":- dynamic p/1.", "unknown directive 'dynamic'", 1, 4),
+        (":- table p 2.", "expected '/', found '2'", 1, 12),
+        (":- table p/x.", "expected 'int', found 'x'", 1, 12),
+        (":- table p/1", "expected '.', found 'end of input'", 1, 13),
+        (":- table.", "expected 'name', found '.'", 1, 9),
+        (":- Table p/1.", "expected 'name', found 'Table'", 1, 4),
+        # a reserved name in a body
+        ("p :- q,\n  memo_look(a).", "'memo_look' is reserved for the engine", 2, 3),
+        # a missing '.'
+        ("p(a)\nq(b).", "expected '.', found 'q'", 2, 1),
+        ("p(a) :- q(a)\n", "expected '.', found 'end of input'", 2, 1),
+        # terms
+        ("p(f(a,g(b)).", "expected ')', found '.'", 1, 12),
+        ("p(f(a,!)).", "expected a term, found '!'", 1, 7),
+        ("p(q(\n", "expected a term, found 'end of input'", 2, 1),
+    ],
+)
+def test_program_parse_error_sites(src, message, line, col):
+    assert _raises(parse_program, src) == (message, line, col)
+
+
+@pytest.mark.parametrize(
+    "src, message, line, col",
+    [
+        ("p(X) q(Y)", "unexpected 'q' after query", 1, 6),
+        ("p(X). q(Y)", "unexpected 'q' after query", 1, 7),
+        ("p(X), !", "cut is not allowed in queries", 1, 7),
+        ("!", "cut is not allowed in queries", 1, 1),
+        ("", "expected 'name', found 'end of input'", 1, 1),
+        ("  % nothing", "expected 'name', found 'end of input'", 1, 12),
+        ("p(X),", "expected 'name', found 'end of input'", 1, 6),
+        ("p(X), .", "expected 'name', found '.'", 1, 7),
+        ("p(X), return(X)", "'return' is reserved for the engine", 1, 7),
+        ("p(X) ; q(X)", "unexpected character ';'", 1, 6),
+    ],
+)
+def test_query_parse_error_sites(src, message, line, col):
+    assert _raises(parse_query, src) == (message, line, col)
+
+
+def test_directive_arity_too_long_for_int_is_a_parse_error():
+    digits = "1" * 5000
+    message, line, col = _raises(parse_program, f"p.\n:- table p/{digits}.")
+    assert (line, col) == (2, 12)
+    assert "arity" in message
+
+
+def _depth(t):
+    n = 0
+    while isinstance(t, Struct):
+        assert t.functor == "s" and len(t.args) == 1
+        t = t.args[0]
+        n += 1
+    return n, t
+
+
+def test_parser_does_not_recurse_on_deep_terms():
+    deep = "s(" * 10_000 + "{}" + ")" * 10_000
+    head = parse_program(f"p({deep.format('z')}).").clauses[0].head
+    assert _depth(head.args[0]) == (10_000, Const("z"))
+    atoms, qvars = parse_query(f"p({deep.format('X')}, Y)")
+    assert _depth(atoms[0].args[0])[0] == 10_000
+    assert [v.name for v in qvars] == ["X", "Y"]
+
+
+def test_parser_takes_wide_terms():
+    wide = ",".join(f"a{i}" for i in range(10_000))
+    head = parse_program(f"p(f({wide})).").clauses[0].head
+    assert head.args[0].args == tuple(Const(f"a{i}") for i in range(10_000))
+    atoms, _ = parse_query(f"p(f({wide}))")
+    assert len(atoms[0].args[0].args) == 10_000
+
+
+def _shape(pr):
+    """Everything a parse decides, variable names included (``Var``
+    equality compares ids only)."""
+    return (repr(pr.clauses), [(k, [c.label for c in cs]) for k, cs in pr.by_predicate.items()],
+            pr.declared_tabled, pr.tabled)
+
+
+_LAYOUT = (" ", "  ", "\t", "\n", "\r\n", "% note, with (punct). X :-\n", "%\r\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), layout=st.randoms(use_true_random=False))
+def test_layout_never_changes_the_parse(seed, layout):
+    text, _ = generate_program(random.Random(seed))
+    tokens = re.findall(r"[A-Za-z0-9_]+|:-|[(),.!/]", text)
+    out = [tokens[0]]
+    for prev, tok in zip(tokens, tokens[1:]):
+        gap = "".join(layout.choice(_LAYOUT) for _ in range(layout.randint(0, 3)))
+        if not gap and prev[-1].isalnum() and tok[0].isalnum():
+            gap = " "
+        out += [gap, tok]
+    assert _shape(parse_program("".join(out))) == _shape(parse_program(text))
