@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="evaluate a query against a program file")
-    run_p.add_argument("program", help="path to the program source")
+    run_p.add_argument("program_path", metavar="program", help="path to the program source")
     mode = run_p.add_mutually_exclusive_group(required=True)
     mode.add_argument("-q", "--query", help="query to evaluate")
     mode.add_argument("--interactive", action="store_true",
@@ -195,23 +195,12 @@ def main(argv=None) -> int:
     run_p.add_argument("--occurs-check", action="store_true",
                        help="unify with the occurs check")
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
-
-    cfg = RunConfig(
-        program_path=args.program,
-        query=args.query,
-        engine=args.engine,
-        depth_bound=args.depth_bound,
-        step_budget=args.step_budget,
-        trace=args.trace,
-        dump_tables=args.dump_tables,
-        strict_alg2=args.strict_alg2,
-        occurs_check=args.occurs_check,
-        interactive=args.interactive,
-    )
-    code = run(cfg)
+    # the subcommand, always "run"; its name stays in usage errors
+    del args["command"]
+    code = run(RunConfig(**args))
     try:
         sys.stdout.flush()
     except BrokenPipeError:

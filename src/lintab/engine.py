@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from .program import CUT, Cut, PredKey, Program, parse_program, parse_query
+from .program import Cut, PredKey, Program, parse_program, parse_query
 from .tables import Table, TableStore
 from .terms import (
     Const,
@@ -100,9 +100,6 @@ class MemoLook:
     origin: "Node"
     values: tuple[Term, ...]
 
-    def substituted(self, s: Subst) -> "MemoLook":
-        return MemoLook(self.origin, apply_tuple(self.values, s))
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Answer:
@@ -110,18 +107,12 @@ class Answer:
 
     values: tuple[Term, ...]
 
-    def substituted(self, s: Subst) -> "Answer":
-        return Answer(apply_tuple(self.values, s))
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CutItem:
     """An executable cut bound to the call whose clause introduced it."""
 
     origin: "Node"
-
-    def substituted(self, s: Subst) -> "CutItem":
-        return self
 
 
 GoalItem = Struct | MemoLook | Answer | CutItem
@@ -146,10 +137,13 @@ def _subst_prefix(goals: Goals, s: Subst) -> Goals:
         item, goals = goals
         if type(item) is Struct:
             done.append(apply(item, s))
-        else:
-            done.append(item.substituted(s))
-            if type(item) is MemoLook:
-                break
+        elif type(item) is MemoLook:
+            done.append(MemoLook(item.origin, apply_tuple(item.values, s)))
+            break
+        elif type(item) is Answer:
+            done.append(Answer(apply_tuple(item.values, s)))
+        else:  # a cut
+            done.append(item)
     return _push(done, goals)
 
 
@@ -221,9 +215,9 @@ class TPEngine:
         self._steps = 0
         self._next_id = 0
         self._fresh = FreshVars()
-        # per clause: cut-free body, (position, name) of constant head args
-        # for cheap mismatch rejection, and whether the clause is ground
-        self._clause_info: dict[int, tuple[tuple, tuple, bool]] = {}
+        # per clause: (position, name) of constant head args for cheap
+        # mismatch rejection, and whether the clause is ground
+        self._clause_info: dict[int, tuple[tuple, bool]] = {}
         # first-argument index, per predicate: the positions of the clauses
         # whose first head argument is a given constant, and of those whose
         # first head argument is not a constant (these match any constant)
@@ -235,12 +229,10 @@ class TPEngine:
             by_const: dict[str, list[int]] = {}
             open_: list[int] = []
             for i, cl in enumerate(clauses):
-                rest = tuple(b for b in cl.body if not isinstance(b, Cut))
                 const_pos = tuple(
                     (j, a.name) for j, a in enumerate(cl.head.args) if isinstance(a, Const)
                 )
-                ground = _ground((cl.head,) + rest)
-                self._clause_info[id(cl)] = (rest, const_pos, ground)
+                self._clause_info[id(cl)] = (const_pos, _ground((cl.head,) + cl.body))
                 if const_pos and const_pos[0][0] == 0:
                     by_const.setdefault(const_pos[0][1], []).append(i)
                 else:
@@ -441,7 +433,7 @@ class TPEngine:
             cl = clauses[i]
             if tabled and not tbl.clause_status[i]:
                 continue
-            rest, const_pos, ground = self._clause_info[id(cl)]
+            const_pos, ground = self._clause_info[id(cl)]
             for pos, cname in const_pos:
                 a = args[pos]
                 if type(a) is not Var and not (type(a) is Const and a.name == cname):
@@ -451,19 +443,17 @@ class TPEngine:
                     theta = unify(atom, cl.head, occurs_check=self.occurs_check)
                     if theta is None:
                         continue
-                    rest2 = rest
+                    body = cl.body
                 else:
                     mapping: dict = {}
                     theta = unify(atom, rename_apart(cl.head, self._fresh, mapping),
                                   occurs_check=self.occurs_check)
                     if theta is None:
                         continue
-                    rest2 = rename_apart(rest, self._fresh, mapping)
+                    body = rename_apart(cl.body, self._fresh, mapping)
                 node.clause_ptr = i + 1
 
-                renamed_body = iter(rest2)
-                body = [CutItem(node) if isinstance(b, Cut) else apply(next(renamed_body), theta)
-                        for b in cl.body]
+                body = [CutItem(node) if isinstance(b, Cut) else apply(b, theta) for b in body]
                 if tabled:
                     values = apply_tuple(node.call_vars, theta)
                     items = _push(body, (MemoLook(node, values), node.items[1]))

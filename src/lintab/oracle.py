@@ -101,17 +101,6 @@ def sld_solve(
     repeat; they are reported in discovery order.
     """
     fresh = FreshVars(max_var_id(query) + 1)
-
-    def rename(clause):
-        renamed = rename_apart(
-            (clause.head,) + tuple(b for b in clause.body if not isinstance(b, Cut)),
-            fresh,
-        )
-        it = iter(renamed[1:])
-        return renamed[0], tuple(
-            b if isinstance(b, Cut) else next(it) for b in clause.body
-        )
-
     qvars = tuple(vars_of(tuple(query)))
     answers: list[tuple[Term, ...]] = []
     exceeded = False
@@ -164,7 +153,7 @@ def sld_solve(
         while frame.clause_ptr < len(clauses):
             cl = clauses[frame.clause_ptr]
             frame.clause_ptr += 1
-            h, body = rename(cl)
+            h, *body = rename_apart((cl.head,) + cl.body, fresh)
             theta = unify(head, h, occurs_check=occurs_check)
             if theta is None:
                 continue
@@ -306,7 +295,7 @@ def ground_expand(
     out: set[tuple[str, ...]] = set()
     consts = list(universe) or ["u0"]
     for tup in answers:
-        vs = list(dict.fromkeys(v for t in tup for v in vars_of(t)))
+        vs = vars_of(tup)
         if not vs:
             out.add(tuple(t.name for t in tup))  # type: ignore[union-attr]
             continue

@@ -49,9 +49,6 @@ class TableStore:
         self.new_flag = False
         self.memo_count = 0
 
-    def get(self, subgoal: Struct) -> Table | None:
-        return self.tables.get(canonicalize(subgoal))
-
     def get_or_create(self, subgoal: Struct, n_clauses: int,
                       mapping: dict[Var, Var] | None = None) -> tuple[Table, bool]:
         """The subgoal's table and whether it was just made.  A ground

@@ -6,6 +6,11 @@ Substitutions are ordinary dicts mapping ``Var`` to terms; bindings may
 chain (X -> Y, Y -> a) and ``apply`` resolves chains.  The occurs check is
 off by default; if a cyclic binding built that way is ever traversed,
 ``apply`` raises ``CyclicTermError`` instead of looping.
+
+``canonicalize`` and ``rename_apart`` are one renaming walk over a term or
+a tuple of items.  It replaces variables and rebuilds compound terms; any
+other item (a constant, or the parser's cut) passes through as the same
+object, so a clause's head and body, cuts included, rename in one call.
 """
 
 from __future__ import annotations
@@ -109,21 +114,13 @@ def format_tuple(ts: tuple[Term, ...]) -> str:
     return "(" + ",".join(format_term(t) for t in ts) + ")"
 
 
-def _walk_terms(x: Term | Iterable) -> Iterable[Term]:
-    if isinstance(x, (Var, Const, Struct)):
-        yield x
-    else:
-        for t in x:
-            yield from _walk_terms(t)
-
-
 def vars_of(x: Term | Iterable) -> list[Var]:
-    """Distinct variables of a term (or nested iterable of terms), in
-    first-occurrence order."""
+    """Distinct variables of a term (or nested tuples and lists of items),
+    in first-occurrence order; items other than terms, such as a cut, are
+    skipped."""
     seen: set[Var] = set()
     out: list[Var] = []
-    stack = list(_walk_terms(x))
-    stack.reverse()
+    stack = [x]
     while stack:
         t = stack.pop()
         if isinstance(t, Var):
@@ -132,6 +129,8 @@ def vars_of(x: Term | Iterable) -> list[Var]:
                 out.append(t)
         elif isinstance(t, Struct):
             stack.extend(reversed(t.args))
+        elif isinstance(t, (tuple, list)):
+            stack.extend(reversed(t))
     return out
 
 
@@ -185,8 +184,8 @@ def _occurs(v: Var, t: Term, s: Subst) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, subst: Subst | None = None, occurs_check: bool = False) -> Subst | None:
-    """Most general unifier of ``a`` and ``b`` under ``subst``; None on failure.
+def unify(a: Term, b: Term, occurs_check: bool = False) -> Subst | None:
+    """Most general unifier of ``a`` and ``b``; None on failure.
 
     In the variable-variable case the younger variable (larger id) is bound
     to the older one, so query variables survive resolution against freshly
@@ -197,7 +196,7 @@ def unify(a: Term, b: Term, subst: Subst | None = None, occurs_check: bool = Fal
     >>> sorted((v.name, format_term(t)) for v, t in s.items())
     [('X', 'a'), ('Y', 'b')]
     """
-    s: Subst = dict(subst) if subst else {}
+    s: Subst = {}
     stack: list[tuple[Term, Term]] = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -237,25 +236,59 @@ def unify(a: Term, b: Term, subst: Subst | None = None, occurs_check: bool = Fal
 
 
 def _ground(x) -> bool:
-    """Whether no variable occurs in a term or tuple of terms: a flat check
+    """Whether no variable occurs in a term or tuple of items: a flat check
     of the top level, walking only the compound terms."""
     if type(x) is Struct:
         x = x.args
     elif type(x) is not tuple:
         return type(x) is Const
     for t in x:
-        if type(t) is Const:
-            continue
         if type(t) is Var:
             return False
-        stack = list(t.args)
-        while stack:
-            a = stack.pop()
-            if type(a) is Var:
-                return False
-            if type(a) is Struct:
-                stack.extend(a.args)
+        if type(t) is Struct:
+            stack = list(t.args)
+            while stack:
+                a = stack.pop()
+                if type(a) is Var:
+                    return False
+                if type(a) is Struct:
+                    stack.extend(a.args)
     return True
+
+
+def _rename(x, mapping: dict[Var, Var] | None, fresh: FreshVars | None):
+    """The one renaming walk: each variable of ``x`` is replaced by the
+    variable ``mapping`` gives it, or else by a new one from ``fresh`` (the
+    next canonical variable when ``fresh`` is None), recorded in
+    ``mapping``.  Other items pass through as they are."""
+    if _ground(x):
+        return x
+    if mapping is None:
+        mapping = {}
+
+    def repl(t):
+        if type(t) is Var:
+            c = mapping.get(t)
+            if c is None:
+                if fresh is None:
+                    k = len(mapping)
+                    c = Var(-(k + 1), f"_{k}")
+                else:
+                    c = fresh.new()
+                mapping[t] = c
+            return c
+        if type(t) is Struct:
+            return Struct(t.functor, tuple(repl(a) for a in t.args))
+        return t
+
+    # the top level is walked here, not through a call of repl, since each
+    # frame on the way down lowers how deep a term can nest before Python's
+    # recursion limit stops the walk
+    if type(x) is Struct:
+        return Struct(x.functor, tuple(repl(a) for a in x.args))
+    if type(x) is Var:
+        return repl(x)
+    return tuple(map(repl, x))
 
 
 def canonicalize(x, mapping: dict[Var, Var] | None = None):
@@ -271,26 +304,7 @@ def canonicalize(x, mapping: dict[Var, Var] | None = None):
     >>> format_term(canonicalize(Struct("p", (Var(7, "A"), Const("a"), Var(7, "A")))))
     'p(_0,a,_0)'
     """
-    if _ground(x):
-        return x
-    if mapping is None:
-        mapping = {}
-
-    def repl(t: Term) -> Term:
-        if type(t) is Var:
-            c = mapping.get(t)
-            if c is None:
-                k = len(mapping)
-                c = Var(-(k + 1), f"_{k}")
-                mapping[t] = c
-            return c
-        if type(t) is Const:
-            return t
-        return Struct(t.functor, tuple(repl(a) for a in t.args))
-
-    if isinstance(x, (Var, Const, Struct)):
-        return repl(x)
-    return tuple(repl(t) for t in x)
+    return _rename(x, mapping, None)
 
 
 def rename_apart(x, fresh: FreshVars, mapping: dict[Var, Var] | None = None):
@@ -301,22 +315,4 @@ def rename_apart(x, fresh: FreshVars, mapping: dict[Var, Var] | None = None):
     ground term or tuple is its own renaming: it comes back as the same
     object and draws no fresh variable.
     """
-    if _ground(x):
-        return x
-    if mapping is None:
-        mapping = {}
-
-    def repl(t: Term) -> Term:
-        if type(t) is Var:
-            c = mapping.get(t)
-            if c is None:
-                c = fresh.new()
-                mapping[t] = c
-            return c
-        if type(t) is Const:
-            return t
-        return Struct(t.functor, tuple(repl(a) for a in t.args))
-
-    if isinstance(x, (Var, Const, Struct)):
-        return repl(x)
-    return tuple(repl(t) for t in x)
+    return _rename(x, mapping, fresh)

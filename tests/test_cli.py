@@ -252,6 +252,21 @@ def test_main_argv_round_trip(program_path, capsys):
     assert captured.out.splitlines()[-1] == "no"
 
 
+def test_main_hands_every_flag_to_run(monkeypatch):
+    seen = []
+    monkeypatch.setattr("lintab.cli.run", lambda cfg: seen.append(cfg) or EXIT_OK)
+    assert main(["run", "prog.pl", "-q", "p(X)", "--engine", "sld", "--depth-bound", "7",
+                 "--step-budget", "99", "--trace", "--dump-tables", "--strict-alg2",
+                 "--occurs-check"]) == EXIT_OK
+    assert main(["run", "prog.pl", "--interactive"]) == EXIT_OK
+    assert seen == [
+        RunConfig(program_path="prog.pl", query="p(X)", engine="sld", depth_bound=7,
+                  step_budget=99, trace=True, dump_tables=True, strict_alg2=True,
+                  occurs_check=True, interactive=False),
+        RunConfig(program_path="prog.pl", interactive=True),
+    ]
+
+
 def test_main_rejects_bad_engine(program_path, capsys):
     code = main(["run", program_path("p1.pl"), "-q", "p(X)", "--engine", "bogus"])
     capsys.readouterr()

@@ -424,9 +424,11 @@ def test_variant_is_found_across_an_untabled_call():
 
 
 # -- answers that are not ground or not function-free -----------------------
-# Every golden answer is a ground constant tuple; these pin the paths a
-# non-ground or compound answer takes through memo, fetch and renaming:
-# canonical answers, table dump, _steps, event count and trace sha256.
+# Every golden answer is a ground constant tuple, and no golden clause has a
+# variable after its cut; these pin the paths a non-ground or compound
+# answer takes through memo, fetch and renaming, and the renaming of bodies
+# with variables after a cut: canonical answers, table dump, _steps, event
+# count and trace sha256.
 
 FALL_THROUGH = {
     "non-ground": (
@@ -462,6 +464,23 @@ FALL_THROUGH = {
         ["(f(a),f(b))"],
         ["TB(p(_0)): answers=[(f(_0))] status=[0] comp=1"],
         12, 19, "f9e48ecf1f3f8062cc3151ac4026fb09b0d3d1009509f41da32e144bce1641a7",
+    ),
+    # clause variables whose first occurrence is after a cut (Y, then W and
+    # Y) are renamed with the rest of the body, the cut kept in its place
+    "var-after-cut": (
+        "p(X) :- q(X), !, r(X,Y), s(Y).\np(c).\nq(a).\nq(b).\nr(a,d).\nr(a,e).\ns(e).\n",
+        "p(X)",
+        ["(a)"],
+        [],
+        10, 15, "628ca7572ba831f1cd2ccdecc09106e8fc0555ed4d6ebc521cd3e583612efd18",
+    ),
+    "var-after-cut-tabled": (
+        ":- table p/2.\np(X,Y) :- p(X,Z), !, e(Z,W), f(W,Y).\np(X,Y) :- e(X,Y).\n"
+        "e(a,b).\ne(b,c).\ne(c,d).\nf(c,g(c)).\nf(d,g(d)).\n",
+        "p(a,Y)",
+        ["(b)", "(g(c))"],
+        ["TB(p(a,_0)): answers=[(b),(g(c))] status=[0,0] comp=1"],
+        14, 30, "8a490a32331a411e9b488c50fa3dbed1518de9bf3cb6416cf33e9ac48271d16b",
     ),
 }
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lintab.program import CUT
 from lintab.terms import (
     Const,
     CyclicTermError,
@@ -132,6 +133,18 @@ def test_rename_apart_shared_mapping():
     assert h.args[1] == body[0].args[0]
 
 
+def test_rename_apart_keeps_a_cut_in_place():
+    fresh = FreshVars(10)
+    mapping = {}
+    head = p(X, Y)
+    clause = (head, CUT, Struct("q", (Y, Z)))
+    got = rename_apart(clause, fresh, mapping)
+    assert got[1] is CUT
+    assert got[0].args[1] == got[2].args[0] == mapping[Y]
+    assert format_tuple((got[0], got[2])) == "(p(_G10,_G11),q(_G11,_G12))"
+    assert vars_of(clause) == [X, Y, Z]
+
+
 def test_fresh_vars_monotone():
     fresh = FreshVars(5)
     u, v = fresh.new(), fresh.new()
@@ -139,7 +152,9 @@ def test_fresh_vars_monotone():
 
 
 def shown(x):
-    return format_tuple(x) if isinstance(x, tuple) else format_term(x)
+    if isinstance(x, tuple):
+        return "(" + ",".join("!" if t is CUT else format_term(t) for t in x) + ")"
+    return format_term(x)
 
 
 GROUND = [
@@ -149,6 +164,7 @@ GROUND = [
     Struct("f", (Struct("g", (a,)),)),
     a,
     (),
+    (p(a), CUT, Struct("q", (b,))),
 ]
 
 
@@ -217,19 +233,26 @@ def structural_walk(x, new_var):
             return mapping[t]
         if isinstance(t, Const):
             return Const(t.name)
+        if t is CUT:
+            return t
         return Struct(t.functor, tuple(walk(u) for u in t.args))
 
     return tuple(walk(t) for t in x) if isinstance(x, tuple) else walk(x)
 
 
-@given(terms | st.tuples(terms, terms))
+# clause-like tuples: a cut may sit anywhere among the terms
+items = st.one_of(terms, st.just(CUT))
+tuples = st.tuples(terms, terms) | st.lists(items, max_size=4).map(tuple)
+
+
+@given(terms | tuples)
 def test_canonicalize_equals_a_structural_walk(x):
     want = structural_walk(x, lambda k: Var(-(k + 1), f"_{k}"))
     got = canonicalize(x)
     assert got == want and shown(got) == shown(want)
 
 
-@given(terms | st.tuples(terms, terms))
+@given(terms | tuples)
 def test_rename_apart_equals_a_structural_walk(x):
     fresh = FreshVars(100)
     got = rename_apart(x, fresh)
