@@ -5,14 +5,16 @@ the tabled engine (default) or one of the reference evaluators.  Ground
 queries, and queries whose only variables are anonymous (``_``), answer
 ``yes`` or ``no``; other queries print one binding line per answer
 (``X = a, Y = b``, leaving ``_`` out) followed by ``no`` once exhausted.
-``--interactive`` reads queries at a ``?- `` prompt and answers them the
-same way with every engine, but waits after each binding line: ``;`` asks
-for the next answer.  ``--trace`` and ``--dump-tables`` (tp only) work in
-both modes.  Unknown predicates simply have empty relations.  Exit codes:
-0 for a clean run (including ``no``), 1 for usage, file, or parse problems,
-for a cyclic binding made without ``--occurs-check`` (tp and sld) and when
-standard output is closed before the answers are written, 2 when a
-resource limit stopped the run before exhaustion.
+The tp and sld engines stream: each line is written as its answer is
+found.  ``--interactive`` reads queries at a ``?- `` prompt and answers
+them the same way with every engine, but waits after each binding line:
+``;`` asks for the next answer.  ``--trace`` and ``--dump-tables`` (tp
+only) work in both modes.  Unknown predicates simply have empty relations.
+Exit codes: 0 for a clean run (including ``no``), 1 for usage, file, or
+parse problems, for a cyclic binding made without ``--occurs-check`` (tp;
+sld once it reaches a called goal or an answer) and when standard output
+is closed before the answers are written, 2 when a resource limit stopped
+the run before exhaustion.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine
-from .oracle import OracleResult, UnsupportedProgramError, bottomup_solve, sld_solve
+from .oracle import DepthBoundExceeded, UnsupportedProgramError, bottomup_solve, sld_answers
 from .program import ParseError, Program, parse_program, parse_query
-from .terms import CyclicTermError, Term, canonicalize, format_term
+from .terms import CyclicTermError, canonicalize, format_term
 from .trace import format_event
 
 __all__ = ["RunConfig", "run", "main", "EXIT_OK", "EXIT_USAGE", "EXIT_RESOURCE"]
@@ -53,18 +54,6 @@ class RunConfig:
     interactive: bool = False
 
 
-class _DepthBoundExceeded(Exception):
-    """The sld run pruned a branch at ``--depth-bound``."""
-
-
-def _replay(result: OracleResult) -> Iterator[tuple[Term, ...]]:
-    """An oracle's answers in order; a run cut off by the depth bound
-    raises once they are used up."""
-    yield from result.answers
-    if result.status == "depth-exceeded":
-        raise _DepthBoundExceeded
-
-
 def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
     """Answer one query the way a Prolog top level does and return the exit
     code.  A query with no variables but ``_`` prints ``yes`` or ``no``;
@@ -81,8 +70,8 @@ def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
                               occurs_check=cfg.occurs_check, sink=sink)
             answers = engine.solve(atoms)
         elif cfg.engine == "sld":
-            answers = _replay(sld_solve(program, atoms, cfg.depth_bound,
-                                        occurs_check=cfg.occurs_check))
+            answers = sld_answers(program, atoms, cfg.depth_bound,
+                                  occurs_check=cfg.occurs_check)
         else:
             answers = iter(bottomup_solve(program, atoms).answers)
         # anonymous variables are not reported, as at a Prolog top level
@@ -102,7 +91,7 @@ def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
     except StepBudgetExceeded:
         out.write("resource-limit: step budget exceeded\n")
         code = EXIT_RESOURCE
-    except _DepthBoundExceeded:
+    except DepthBoundExceeded:
         out.write("resource-limit: depth bound exceeded\n")
         code = EXIT_RESOURCE
     except ParseError as e:

@@ -3,9 +3,12 @@
 Two oracles cross-check the tabled engine without sharing any of its
 machinery beyond terms and the parsed program:
 
-- ``sld_solve``: plain depth-first resolution with cut, exactly what a
-  minimal Prolog would do, except derivation branches are pruned at a
-  depth bound (and the result says whether pruning happened).
+- ``sld_answers``: plain depth-first resolution with cut, run the way a
+  minimal Prolog runs it (one binding store undone from a trail, goal
+  lists that share their tails), except derivation branches are pruned at
+  a depth bound.  Answers stream as they are found, and
+  ``DepthBoundExceeded`` follows the last one if a branch was pruned;
+  ``sld_solve`` collects them and says whether pruning happened.
 - ``bottomup_solve``: naive fixpoint of the immediate-consequence step for
   function-free cut-free programs; by construction complete and terminating,
   which makes it the ground truth for differential testing.
@@ -44,6 +47,8 @@ from .terms import (
 __all__ = [
     "OracleResult",
     "UnsupportedProgramError",
+    "DepthBoundExceeded",
+    "sld_answers",
     "sld_solve",
     "bottomup_solve",
     "ground_expand",
@@ -69,23 +74,82 @@ class UnsupportedProgramError(Exception):
 # -- depth-bounded resolution ----------------------------------------
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class _SCut:
-    origin: "_Frame"
+class DepthBoundExceeded(Exception):
+    """An sld run pruned a branch at its depth bound."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class _SAnswer:
-    values: tuple[Term, ...]
+def _push(items, rest):
+    """The goal list of ``items`` followed by ``rest``, which is shared."""
+    for item in reversed(items):
+        rest = (item, rest)
+    return rest
 
 
-class _Frame:
-    __slots__ = ("parent", "items", "clause_ptr")
+def sld_answers(
+    program: Program,
+    query: Sequence[Struct],
+    depth_bound: int,
+    occurs_check: bool = False,
+) -> Iterator[tuple[Term, ...]]:
+    """Yield answers depth-first with no tabling and no loop checking.
 
-    def __init__(self, parent: "_Frame | None", items: tuple) -> None:
-        self.parent = parent
-        self.items = items
-        self.clause_ptr = 0
+    Bindings live in one store and are undone from a trail on backtracking.
+    A frame is ``[goals, next clause, trail mark]`` and the frame list is
+    the current branch; goal lists are ``(item, rest)`` cells, so a clause
+    body is pushed onto its caller's shared tail.  A body's cut becomes the
+    index of the frame whose call the clause resolved: failing back into it
+    drops that frame and every frame above.  A branch whose depth (its
+    number of frames) reaches ``depth_bound`` is pruned, and
+    ``DepthBoundExceeded`` is raised after the last answer.  Answers may
+    repeat; they come in discovery order.
+    """
+    fresh = FreshVars(max_var_id(query) + 1)
+    qvars = tuple(vars_of(tuple(query)))
+    bindings: Subst = {}
+    trail: list[Var] = []
+    stack = [[_push(query, None), 0, 0]]
+    exceeded = False
+    while stack:
+        frame = stack[-1]
+        goals = frame[0]
+        if goals is None:
+            yield apply_tuple(qvars, bindings)
+        elif len(stack) >= depth_bound:
+            exceeded = True
+        elif type(goals[0]) is int:
+            stack.append([goals[1], 0, len(trail)])
+            continue
+        else:
+            # the goal's variables are unbound in the store and the clause
+            # is fresh, so the unifier binds only unbound variables
+            goal = apply(goals[0], bindings)
+            clauses = program.by_predicate.get((goal.functor, len(goal.args)), ())
+            child = None
+            while child is None and frame[1] < len(clauses):
+                cl = clauses[frame[1]]
+                frame[1] += 1
+                h, *body = rename_apart((cl.head,) + cl.body, fresh)
+                theta = unify(goal, h, occurs_check=occurs_check)
+                if theta is not None:
+                    bindings.update(theta)
+                    trail.extend(theta)
+                    here = len(stack) - 1
+                    body = [here if type(b) is Cut else b for b in body]
+                    child = [_push(body, goals[1]), 0, len(trail)]
+            if child is not None:
+                stack.append(child)
+                continue
+        # the top frame has failed: pop it, and every cut failed back into
+        # fails the call that holds it
+        stack.pop()
+        while stack and type(stack[-1][0][0]) is int:
+            del stack[stack[-1][0][0]:]
+        if stack:
+            mark = stack[-1][2]
+            while len(trail) > mark:
+                del bindings[trail.pop()]
+    if exceeded:
+        raise DepthBoundExceeded
 
 
 def sld_solve(
@@ -94,89 +158,14 @@ def sld_solve(
     depth_bound: int,
     occurs_check: bool = False,
 ) -> OracleResult:
-    """Enumerate answers depth-first with no tabling and no loop checking.
-
-    Depth is the number of frames on the current branch; a branch about to
-    exceed ``depth_bound`` is pruned and the run is flagged.  Answers may
-    repeat; they are reported in discovery order.
-    """
-    fresh = FreshVars(max_var_id(query) + 1)
-    qvars = tuple(vars_of(tuple(query)))
+    """Collect ``sld_answers``; the status says whether a branch was pruned."""
     answers: list[tuple[Term, ...]] = []
-    exceeded = False
-
-    root = _Frame(None, tuple(query) + (_SAnswer(qvars),))
-    stack = [root]
-    frame: _Frame | None = root
-
-    def backtrack(fr: _Frame) -> _Frame | None:
-        while True:
-            assert stack and stack[-1] is fr
-            stack.pop()
-            parent = fr.parent
-            if parent is None:
-                return None
-            phead = parent.items[0]
-            if isinstance(phead, _SCut):
-                origin = phead.origin
-                cur = parent
-                while cur is not origin:
-                    popped = stack.pop()
-                    assert popped is cur
-                    cur = cur.parent
-                fr = origin  # the cut fails the pruned call outright
-                continue
-            return parent
-
-    while frame is not None:
-        head = frame.items[0]
-        if isinstance(head, _SAnswer):
-            answers.append(head.values)
-            frame = backtrack(frame)
-            continue
-        if isinstance(head, _SCut):
-            if len(stack) >= depth_bound:
-                exceeded = True
-                frame = backtrack(frame)
-                continue
-            child = _Frame(frame, frame.items[1:])
-            stack.append(child)
-            frame = child
-            continue
-        # ordinary atom: try the next matching clause
-        if len(stack) >= depth_bound:
-            exceeded = True
-            frame = backtrack(frame)
-            continue
-        clauses = program.by_predicate.get((head.functor, len(head.args)), ())
-        child = None
-        while frame.clause_ptr < len(clauses):
-            cl = clauses[frame.clause_ptr]
-            frame.clause_ptr += 1
-            h, *body = rename_apart((cl.head,) + cl.body, fresh)
-            theta = unify(head, h, occurs_check=occurs_check)
-            if theta is None:
-                continue
-            items = tuple(
-                _SCut(frame) if isinstance(b, Cut)
-                else apply(b, theta)
-                for b in body
-            ) + tuple(
-                it if isinstance(it, _SCut)
-                else (_SAnswer(apply_tuple(it.values, theta)) if isinstance(it, _SAnswer)
-                      else apply(it, theta))
-                for it in frame.items[1:]
-            )
-            child = _Frame(frame, items)
-            break
-        if child is None:
-            frame = backtrack(frame)
-        else:
-            stack.append(child)
-            frame = child
-
-    status = "depth-exceeded" if exceeded else "complete"
-    return OracleResult(tuple(answers), status)
+    try:
+        for tup in sld_answers(program, query, depth_bound, occurs_check):
+            answers.append(tup)
+    except DepthBoundExceeded:
+        return OracleResult(tuple(answers), "depth-exceeded")
+    return OracleResult(tuple(answers), "complete")
 
 
 # -- bottom-up fixpoint ----------------------------------------------

@@ -12,13 +12,14 @@ comes, without a copy.
 The store keeps two global memo counters: a boolean flag cleared at the
 start of every re-evaluation pass, and a monotone count of all answers
 ever memoized, which completion checks compare against a per-call
-snapshot.  An answer tuple that is a variant of the subgoal's own variable
-tuple covers every instance, so memoizing it completes the table at once;
+snapshot.  A canonical answer covers every instance exactly when it is a
+tuple of distinct variables, so memoizing one completes the table at once;
 a ground subgoal's empty tuple is the degenerate case.
 """
 
 from __future__ import annotations
 
+# vars_of is unused here, but bench/layers.py wraps lintab.tables.vars_of
 from .terms import Struct, Term, Var, canonicalize, format_term, format_tuple, vars_of
 
 __all__ = ["Table", "TableStore"]
@@ -27,7 +28,7 @@ __all__ = ["Table", "TableStore"]
 class Table:
     """One memoized subgoal: answers, per-clause status bits, completion."""
 
-    __slots__ = ("key", "answers", "clause_status", "comp", "_seen", "_unit")
+    __slots__ = ("key", "answers", "clause_status", "comp", "_seen")
 
     def __init__(self, key: Struct, n_clauses: int) -> None:
         self.key = key
@@ -35,7 +36,6 @@ class Table:
         self.clause_status: list[int] = [1] * n_clauses
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
-        self._unit = tuple(vars_of(key))
 
     def __repr__(self) -> str:
         return f"<Table {format_term(self.key)} answers={len(self.answers)} comp={int(self.comp)}>"
@@ -73,7 +73,7 @@ class TableStore:
         table._seen.add(tup)
         self.new_flag = True
         self.memo_count += 1
-        if tup == table._unit:
+        if all(type(t) is Var for t in tup) and len(set(tup)) == len(tup):
             table.comp = True
         return tup, True
 

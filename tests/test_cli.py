@@ -180,6 +180,23 @@ def test_interactive_cyclic_binding_keeps_the_session(tmp_path, engine):
     assert "rerun with --occurs-check" in err
 
 
+def test_sld_reports_a_cyclic_binding_only_once_it_is_used(tmp_path):
+    # q binds Z to f(Z), but fail is reached before r(Z) is called
+    prog = tmp_path / "unused.pl"
+    prog.write_text("p :- q(Z,Z), fail, r(Z).\nq(X,f(X)).\n")
+    assert invoke(str(prog), "p", engine="sld") == (EXIT_OK, "no\n", "")
+    code, out, err = invoke(str(prog), "p", engine="tp")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("; rerun with --occurs-check\n")
+
+
+def test_interactive_sld_answers_before_the_search_ends(tmp_path):
+    prog = tmp_path / "nat.pl"
+    prog.write_text("nat(z).\nnat(s(X)) :- nat(X).\n")
+    code, out, err = invoke(str(prog), stdin="nat(X).\n\n", interactive=True, engine="sld")
+    assert (code, out, err) == (EXIT_OK, "?- X = z\n?- \n", "")
+
+
 def test_missing_file():
     code, _, err = invoke("no/such/file.pl", "p(X)")
     assert code == EXIT_USAGE
@@ -311,6 +328,20 @@ def _tp(args, unbuffered, stdout):
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     return subprocess.Popen([sys.executable, "-m", "lintab.cli", "run", *args],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_sld_left_recursion_stops_at_the_default_bound(program_path):
+    # every branch of this search is pruned at depth 10,000
+    proc = _tp([program_path("p1.pl"), "-q", "reach(a,X)", "--engine", "sld"], "",
+               subprocess.PIPE)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert out.decode().splitlines() == [
+        "X = b", "X = e", "X = a", "X = d", "resource-limit: depth bound exceeded"
+    ]
+    assert proc.returncode == EXIT_RESOURCE
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -410,6 +410,45 @@ def test_cut_programs_agree_with_sld_in_order():
     assert completed >= 200
 
 
+def with_functions(src, rng):
+    """Wrap about a third of the argument positions of a generated program
+    in ``f(T)`` or ``g(T,T)``; directives are left as they are."""
+    def wrap(m):
+        arg = m.group()
+        roll = rng.random()
+        return f"f({arg})" if roll < 0.15 else f"g({arg},{arg})" if roll < 0.3 else arg
+
+    return "".join(
+        line if line.startswith(":-") else re.sub(r"(?<=[(,])\w+(?=[,)])", wrap, line)
+        for line in src.splitlines(keepends=True)
+    )
+
+
+def test_function_symbol_programs_agree_with_sld():
+    compared = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        src, query = generate_program(rng)
+        if rng.random() < 0.5:
+            src = with_cuts(src, rng)
+        src = with_functions(src, rng)
+        program = parse_program(src)
+        atoms, _ = parse_query(query)
+        ref = sld_solve(program, atoms, depth_bound=6, occurs_check=True)
+        if ref.status != "complete":
+            continue
+        compared += 1
+        r = tp_solve(program, atoms, step_budget=20_000, occurs_check=True)
+        assert r.status == "complete", seed
+        want = list(dict.fromkeys(canonicalize(a) for a in ref.answers))
+        got = [canonicalize(a) for a in r.answers]
+        if "!" in src:
+            assert got == want, seed
+        else:
+            assert set(got) == set(want), seed
+    assert compared >= 200
+
+
 # -- ancestors are read off the goal list -----------------------------------
 
 

@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
 from lintab.oracle import (
+    DepthBoundExceeded,
     UnsupportedProgramError,
     bottomup_solve,
     generate_program,
     ground_expand,
+    sld_answers,
     sld_solve,
 )
 from lintab.program import parse_program, parse_query
@@ -42,6 +45,32 @@ def test_sld_left_recursion_never_completes(load):
 def test_sld_finds_answers_before_the_bound(load):
     r = solve_sld(load("p1.pl"), "reach(a,X)", 50)
     assert [format_tuple(a) for a in r.answers] == ["(b)", "(e)", "(a)", "(d)"]
+
+
+def test_sld_memory_stays_linear_in_the_depth(load):
+    tracemalloc.start()
+    try:
+        r = solve_sld(load("p1.pl"), "reach(a,X)", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [format_tuple(a) for a in r.answers] == ["(b)", "(e)", "(a)", "(d)"]
+    assert r.status == "depth-exceeded"
+    assert peak < 5_000_000
+
+
+def test_sld_answers_stream():
+    program = parse_program("nat(z).\nnat(s(X)) :- nat(X).\n")
+    atoms, _ = parse_query("nat(X)")
+    assert next(sld_answers(program, atoms, depth_bound=10**6)) == (Const("z"),)
+
+
+def test_sld_answers_raise_after_the_last_answer(load):
+    atoms, _ = parse_query("reach(a,X)")
+    answers = sld_answers(parse_program(load("p1.pl")), atoms, depth_bound=50)
+    assert [format_tuple(next(answers)) for _ in range(4)] == ["(b)", "(e)", "(a)", "(d)"]
+    with pytest.raises(DepthBoundExceeded):
+        next(answers)
 
 
 def test_sld_cut_semantics(load):

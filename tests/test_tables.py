@@ -1,3 +1,4 @@
+import lintab.tables
 from lintab.tables import TableStore
 from lintab.terms import Const, Struct, Var, canonicalize
 
@@ -71,6 +72,22 @@ def test_unit_answer_completes_table():
     assert not t.comp
     store.memo(t, (Var(3, "U"), Var(4, "V")))
     assert t.comp
+
+
+def test_completion_needs_no_second_walk_of_the_key(monkeypatch):
+    def walk(_):
+        raise AssertionError("the key was walked again")
+
+    monkeypatch.setattr(lintab.tables, "vars_of", walk)
+    store = TableStore()
+    t = store.get_or_create(call(X, Y, X), 1)[0]
+    store.memo(t, (Var(4, "V"), Var(4, "V")))
+    assert not t.comp
+    store.memo(t, (Var(3, "U"), Var(4, "V")))
+    assert t.comp
+    g = store.get_or_create(call(a), 1)[0]
+    store.memo(g, ())
+    assert g.comp
 
 
 def test_ground_subgoal_completes_on_empty_tuple():
