@@ -11,10 +11,11 @@ them the same way with every engine, but waits after each binding line:
 ``;`` asks for the next answer.  ``--trace`` and ``--dump-tables`` (tp
 only) work in both modes.  Unknown predicates simply have empty relations.
 Exit codes: 0 for a clean run (including ``no``), 1 for usage, file, or
-parse problems, for a cyclic binding made without ``--occurs-check`` (tp;
-sld once it reaches a called goal or an answer) and when standard output
-is closed before the answers are written, 2 when a resource limit stopped
-the run before exhaustion.
+parse problems (a bound below 1 included), for a cyclic binding made
+without ``--occurs-check`` once it reaches a called goal or an answer, a
+tabled call's answer included (the same rule for both engines), and when
+standard output is closed before the answers are written, 2 when a
+resource limit stopped the run before exhaustion.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
         return EXIT_USAGE
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer bound of 1 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tp",
@@ -170,9 +182,9 @@ def main(argv=None) -> int:
                       help="read queries from stdin instead")
     run_p.add_argument("--engine", choices=("tp", "sld", "bottomup"), default="tp",
                        help="evaluator to use (default: tp)")
-    run_p.add_argument("--depth-bound", type=int, default=DEFAULT_DEPTH_BOUND,
+    run_p.add_argument("--depth-bound", type=_at_least_one, default=DEFAULT_DEPTH_BOUND,
                        help="branch depth limit for the sld engine")
-    run_p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
+    run_p.add_argument("--step-budget", type=_at_least_one, default=DEFAULT_STEP_BUDGET,
                        help="resolution step limit for the tp engine")
     run_p.add_argument("--trace", action="store_true",
                        help="write trace events to stderr (tp engine)")

@@ -4,12 +4,13 @@ The engine runs a left-to-right, depth-first derivation like ordinary
 Prolog, but calls to tabled predicates go through answer tables.  A tabled
 call first consumes answers already in its table (oldest first, through a
 private cursor) and only then tries program clauses.  Resolving a tabled
-call against a clause plants a ``memo-look`` item behind the clause body:
-when the body has been proved, the item memoizes the call's computed
-instance and immediately fetches the next unconsumed answer for the
-continuation, so answers always flow through the table.  Answer tuples
-never bind the continuation directly; the goal suffix past the first
-pending memo-look stays uninstantiated until that memo-look fetches.
+call against a clause plants the call's own node behind the clause body as
+its ``memo-look``: when the body has been proved, the memo-look memoizes
+the call's computed instance and immediately fetches the next unconsumed
+answer for the continuation.  The clauses resolve a fresh copy of the
+call's table key, not the call itself, so the body's bindings never reach
+the caller's variables, and answers flow to the continuation only through
+the table.
 
 Self-dependent calls are handled by loop checking over ancestor lists: a
 call that is a variant of an ancestor call skips clauses up to the one the
@@ -18,19 +19,28 @@ and the outermost call of a loop re-evaluates its clauses until a pass adds
 no answer anywhere, then marks its table complete.  Clause status bits let
 exhausted or cut-away clauses drop out of later passes.
 
+As in a Prolog machine, bindings live in one store and a trail undoes
+them.  Each node records the trail length when it is registered; its own
+bindings (a clause head's unifier, or a fetched answer bound to the call's
+variables) go above that mark, and popping the node undoes them, so a cut
+that prunes back to its origin leaves the store as the origin had it.  A
+goal is resolved against the store once, when it is called; a memo-look
+reads the copy's variables through the store, and the end of the goal list
+reads the query's as an answer.  With the occurs check off, a cyclic
+binding raises ``CyclicTermError`` only once one of these reads it.
+
 A node's goal list is a chain of ``(item, rest)`` cells ending in None, and
 like a Prolog continuation it is shared, not copied: a clause body is pushed
-onto the tail its call leaves, a cut's continuation is that tail as it is,
-and a binding rebuilds only the cells up to and including the first pending
-memo-look.  A step therefore costs what its body and that prefix cost,
-whatever the depth of the derivation.  Ground terms are shared too: a ground
-call or answer is its own canonical form and its own renaming.
+onto the tail its call leaves, and a cut's or a fetch's continuation is that
+tail as it is.  A step therefore costs what its call and body cost, whatever
+the depth of the derivation.  Ground terms are shared too: a ground call or
+answer is its own canonical form, its own renaming and its own copy.
 
-A call's ancestors are the origins of the memo-looks pending behind it in
-its goal list, nearest first: the frames its continuation has yet to return
-through.  The search sees through non-tabled calls, which plant none; it
-relies on ``parse_program`` tabling every predicate on a dependency cycle,
-so no variant of a call can sit above a non-tabled call on its path.
+A call's ancestors are the tabled calls whose memo-looks are pending behind
+it in its goal list, nearest first: the frames its continuation has yet to
+return through.  The search sees through non-tabled calls, which plant
+none; it relies on ``parse_program`` tabling every predicate on a dependency
+cycle, so no variant of a call can sit above a non-tabled call on its path.
 
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
@@ -69,8 +79,6 @@ from .trace import TraceEvent, event
 __all__ = [
     "DEFAULT_STEP_BUDGET",
     "StepBudgetExceeded",
-    "MemoLook",
-    "Answer",
     "CutItem",
     "Node",
     "TPEngine",
@@ -90,65 +98,27 @@ class StepBudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class MemoLook:
-    """Memoize-then-fetch marker planted behind a tabled clause body.
-
-    ``origin`` is the call's node, which holds its table and its variables;
-    ``values`` is that variable tuple, instantiated as the body is proved.
-    """
-
-    origin: "Node"
-    values: tuple[Term, ...]
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Answer:
-    """End-of-goal marker carrying the query's variable tuple."""
-
-    values: tuple[Term, ...]
-
-
-@dataclass(frozen=True, slots=True, eq=False)
 class CutItem:
     """An executable cut bound to the call whose clause introduced it."""
 
     origin: "Node"
 
 
-GoalItem = Struct | MemoLook | Answer | CutItem
-# a goal list is a chain of (item, rest) cells, None when empty
+# a goal list is a chain of (item, rest) cells, None when empty; an item is
+# a call, a cut, or a tabled call's own node planted as its memo-look
 Goals = tuple | None
 
 
-def _push(items: Sequence[GoalItem], rest: Goals) -> Goals:
+def _push(items: Sequence, rest: Goals) -> Goals:
     """The goal list of ``items`` followed by ``rest``, which is shared."""
     for item in reversed(items):
         rest = (item, rest)
     return rest
 
 
-def _subst_prefix(goals: Goals, s: Subst) -> Goals:
-    """Apply a substitution up to and including the first memo-look; the
-    cells past it belong to outer pending calls and are shared as they are."""
-    if not s:
-        return goals
-    done: list[GoalItem] = []
-    while goals is not None:
-        item, goals = goals
-        if type(item) is Struct:
-            done.append(apply(item, s))
-        elif type(item) is MemoLook:
-            done.append(MemoLook(item.origin, apply_tuple(item.values, s)))
-            break
-        elif type(item) is Answer:
-            done.append(Answer(apply_tuple(item.values, s)))
-        else:  # a cut
-            done.append(item)
-    return _push(done, goals)
-
-
 class Node:
-    """One derivation step on the stack."""
+    """One derivation step on the stack.  A tabled call's node is also the
+    memo-look planted behind its clause bodies."""
 
     __slots__ = (
         "id",
@@ -165,10 +135,13 @@ class Node:
         "iteration_pass",
         "table",
         "call_vars",
+        "atom",
+        "copy_vars",
+        "mark",
     )
 
     def __init__(self, id_: int, parent: "Node | None", items: Goals,
-                 origin_kind: str, pass_mark: int) -> None:
+                 origin_kind: str, pass_mark: int, mark: int) -> None:
         self.id = id_
         self.parent = parent
         self.items = items
@@ -183,6 +156,9 @@ class Node:
         self.iteration_pass = 0
         self.table: Table | None = None  # set with call_vars on a tabled call
         self.call_vars: tuple[Var, ...] = ()
+        self.atom: Struct | None = None  # the call its clauses resolve, once known
+        self.copy_vars: tuple[Var, ...] = ()  # a tabled call's copy's variables
+        self.mark = mark  # trail length before the node's own bindings
 
     def __repr__(self) -> str:
         return f"<Node {self.id} {self.origin_kind}>"
@@ -190,7 +166,7 @@ class Node:
 
 class TPEngine:
     """Evaluator for one program; each ``solve`` call is an independent run
-    with fresh tables and step counter.
+    with fresh tables, bindings and step counter.
 
     ``sink``, when given, receives each trace event as it is emitted.
     Without one the engine builds no event at all.
@@ -211,7 +187,8 @@ class TPEngine:
         self.occurs_check = occurs_check
         self.tables = TableStore()
         self._sink = sink
-        self._stack: list[Node] = []
+        self._store: Subst = {}
+        self._trail: list[Var] = []
         self._steps = 0
         self._next_id = 0
         self._fresh = FreshVars()
@@ -245,11 +222,16 @@ class TPEngine:
     # Every event is built behind an ``if self._sink is not None`` check at
     # its call site, so a run without a sink pays nothing for its fields.
 
-    def _register(self, items: Goals, parent: Node | None,
-                  origin_kind: str) -> Node:
-        node = Node(self._next_id, parent, items, origin_kind, self.tables.memo_count)
+    def _register(self, items: Goals, parent: Node | None, origin_kind: str,
+                  theta: Subst | None = None) -> Node:
+        """A new node.  ``theta`` binds unbound variables above the node's
+        trail mark, so popping the node undoes it."""
+        node = Node(self._next_id, parent, items, origin_kind, self.tables.memo_count,
+                    len(self._trail))
         self._next_id += 1
-        self._stack.append(node)
+        if theta:
+            self._store.update(theta)
+            self._trail.extend(theta)
         return node
 
     def _expanded(self, node: Node, **fields) -> None:
@@ -258,8 +240,9 @@ class TPEngine:
                          source=node.origin_kind, **fields))
 
     def _pop(self, node: Node) -> None:
-        assert self._stack and self._stack[-1] is node
-        self._stack.pop()
+        trail, store = self._trail, self._store
+        while len(trail) > node.mark:
+            del store[trail.pop()]
         if self._sink is not None:
             self._sink(event("backtrack", node=node.id))
 
@@ -281,14 +264,14 @@ class TPEngine:
         """Derivation as a generator of answer tuples over the query's
         distinct variables (first-occurrence order)."""
         self.tables = TableStore()
-        self._stack = []
+        self._store = {}
+        self._trail = []
         self._steps = 0
         self._next_id = 0
         self._fresh = FreshVars(max_var_id(tuple(query)) + 1)
 
-        qvars = vars_of(tuple(query))
-        items = _push(query, (Answer(tuple(qvars)), None))
-        node: Node | None = self._register(items, None, "root")
+        qvars = tuple(vars_of(tuple(query)))
+        node: Node | None = self._register(_push(query, None), None, "root")
         if self._sink is not None:
             self._expanded(node)
 
@@ -296,6 +279,14 @@ class TPEngine:
             self._steps += 1
             if self._steps > self.step_budget:
                 raise StepBudgetExceeded(self._steps)
+            if node.items is None:
+                # the goal list is proved: an answer
+                tup = apply_tuple(qvars, self._store)
+                if self._sink is not None:
+                    self._sink(event("answer", node=node.id, tuple=canonicalize(tup)))
+                yield tup
+                node = self._backtrack(node)
+                continue
             head = node.items[0]
 
             if type(head) is Struct:
@@ -304,26 +295,21 @@ class TPEngine:
                 else:
                     child = self._clause_child(node)
                     node = child if child is not None else self._backtrack(node)
-            elif isinstance(head, CutItem):
+            elif type(head) is CutItem:
                 # a cut that executes commits its origin's clause choice
                 head.origin.susp = 0
                 node = self._register(node.items[1], node, "cut")
                 if self._sink is not None:
                     self._expanded(node)
-            elif isinstance(head, Answer):
-                if self._sink is not None:
-                    self._sink(event("answer", node=node.id, tuple=canonicalize(head.values)))
-                yield head.values
-                node = self._backtrack(node)
             else:
                 node = self._memo_look(node, head)
 
-    def _memo_look(self, node: Node, ml: MemoLook) -> Node | None:
-        tbl = ml.origin.table
-        tup, new = self.tables.memo(tbl, ml.values)
+    def _memo_look(self, node: Node, origin: Node) -> Node | None:
+        tbl = origin.table
+        tup, new = self.tables.memo(tbl, apply_tuple(origin.copy_vars, self._store))
         if self._sink is not None:
             self._sink(event("memo", table=tbl.key, tuple=tup, new=int(new), comp=int(tbl.comp)))
-        return self._fetch_for(node, ml.origin, "lookup")
+        return self._fetch_for(node, origin, "lookup")
 
     def _fetch_for(self, node: Node, owner: Node, source: str) -> Node | None:
         """Consume the owner's next unconsumed answer, if any, and register
@@ -337,15 +323,14 @@ class TPEngine:
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
         tup = rename_apart(stored, self._fresh)
-        theta = dict(zip(owner.call_vars, tup))
-        items = _subst_prefix(node.items[1], theta)
-        child = self._register(items, node, source)
+        child = self._register(node.items[1], node, source, dict(zip(owner.call_vars, tup)))
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
         return child
 
     def _tabled_call(self, node: Node, atom: Struct) -> Node | None:
         if node.table is None:
+            atom = apply(atom, self._store)
             n_clauses = len(self.program.by_predicate.get((atom.functor, len(atom.args)), ()))
             call_vars: dict[Var, Var] = {}
             node.table, _ = self.tables.get_or_create(atom, n_clauses, call_vars)
@@ -357,6 +342,12 @@ class TPEngine:
             return self._fetch_for(node, node, "answer")
         if tbl.comp:
             return self._backtrack(node)
+        if node.atom is None:
+            # clauses resolve a fresh copy of the call, so the body's
+            # bindings reach the caller only through the table
+            copy: dict[Var, Var] = {}
+            node.atom = rename_apart(tbl.key, self._fresh, copy)
+            node.copy_vars = tuple(copy.values())
 
         if node.anc == -1 and not self._ancestor_variant(node, rerun=False):
             node.anc = 0
@@ -403,17 +394,19 @@ class TPEngine:
         cell = node.items[1]
         while cell is not None:
             item, cell = cell
-            if type(item) is MemoLook:
-                top = item.origin
-                path.append(top)
-                if top.table is node.table:
+            if type(item) is Node:
+                path.append(item)
+                if item.table is node.table:
                     path.reverse()
-                    self._nodetype_update(path, top.clause_ptr, rerun)
+                    self._nodetype_update(path, item.clause_ptr, rerun)
                     return True
         return False
 
     def _clause_child(self, node: Node) -> Node | None:
-        atom = node.items[0]
+        atom = node.atom
+        if atom is None:
+            # resolved once: backtracking into the node restores its store
+            atom = node.atom = apply(node.items[0], self._store)
         args = atom.args
         key = (atom.functor, len(args))
         clauses = self.program.by_predicate.get(key, ())
@@ -453,18 +446,12 @@ class TPEngine:
                     body = rename_apart(cl.body, self._fresh, mapping)
                 node.clause_ptr = i + 1
 
-                body = [CutItem(node) if isinstance(b, Cut) else apply(b, theta) for b in body]
-                if tabled:
-                    values = apply_tuple(node.call_vars, theta)
-                    items = _push(body, (MemoLook(node, values), node.items[1]))
-                    child = self._register(items, node, "clause")
-                    if self._sink is not None:
-                        self._expanded(child, clause=cl.label, ord=cl.ordinal, anc=node.anc)
-                    return child
-                items = _push(body, _subst_prefix(node.items[1], theta))
-                child = self._register(items, node, "clause")
+                body = [CutItem(node) if type(b) is Cut else b for b in body]
+                rest = (node, node.items[1]) if tabled else node.items[1]
+                child = self._register(_push(body, rest), node, "clause", theta)
                 if self._sink is not None:
-                    self._expanded(child, clause=cl.label, ord=cl.ordinal)
+                    anc = {"anc": node.anc} if tabled else {}
+                    self._expanded(child, clause=cl.label, ord=cl.ordinal, **anc)
                 return child
         node.clause_ptr = len(clauses)
         return None
@@ -504,7 +491,7 @@ class TPEngine:
                 return None
             phead = parent.items[0]
 
-            if isinstance(phead, CutItem):
+            if type(phead) is CutItem:
                 # prune everything back to the cut's origin in one sweep
                 origin = phead.origin
                 cur = parent
@@ -525,7 +512,7 @@ class TPEngine:
                     origin.clause_ptr = len(status)
                 return origin
 
-            if isinstance(phead, MemoLook):
+            if type(phead) is Node:
                 node = parent
                 continue
 

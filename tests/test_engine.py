@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lintab.engine
-from lintab.engine import StepBudgetExceeded, TPEngine, tp_solve
+from lintab.engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine, tp_solve
 from lintab.oracle import generate_program, sld_solve
 from lintab.program import Program, parse_program, parse_query
 from lintab.terms import (
@@ -347,6 +347,31 @@ def test_user_sink_sees_the_recorded_events(load, name, query):
     atoms, _ = parse_query(query)
     list(engine.solve(atoms))
     assert seen == [format_event(e) for e in tp_solve(source, query).engine.events]
+
+
+# -- independent runs --------------------------------------------------------
+# Each solve starts from fresh tables, bindings and trail, whatever the run
+# before it left behind.
+
+
+@pytest.mark.parametrize("name, query", GOLDEN_QUERIES)
+def test_a_rerun_after_an_early_exit_matches_a_fresh_run(load, name, query):
+    program = parse_program(load(name))
+    atoms, _ = parse_query(query)
+    fresh = TPEngine(program)
+    want = list(fresh.solve(atoms))
+    assert fresh._trail == []
+    engine = TPEngine(program)
+    run = engine.solve(atoms)
+    next(run, None)
+    run.close()
+    assert (list(engine.solve(atoms)), engine._steps) == (want, fresh._steps)
+    engine.step_budget = fresh._steps // 2
+    with pytest.raises(StepBudgetExceeded):
+        list(engine.solve(atoms))
+    engine.step_budget = DEFAULT_STEP_BUDGET
+    assert (list(engine.solve(atoms)), engine._steps) == (want, fresh._steps)
+    assert engine._trail == []
 
 
 # -- the full golden traces ------------------------------------------------
