@@ -29,6 +29,13 @@ reads the copy's variables through the store, and the end of the goal list
 reads the query's as an answer.  With the occurs check off, a cyclic
 binding raises ``CyclicTermError`` only once one of these reads it.
 
+A clause with a variable is compiled into a template the first time it is
+tried, and resolution matches the call against its head in place, as a
+Prolog machine's head instructions do: the call's arguments fill the
+head's variables, only the call's own variables get bindings, and only
+the body is built.  A clause without variables unifies with its head as
+it is.
+
 A node's goal list is a chain of ``(item, rest)`` cells ending in None, and
 like a Prolog continuation it is shared, not copied: a clause body is pushed
 onto the tail its call leaves, and a cut's or a fetch's continuation is that
@@ -66,6 +73,7 @@ from .terms import (
     Term,
     Var,
     _ground,
+    _occurs,
     apply,
     apply_tuple,
     canonicalize,
@@ -114,6 +122,130 @@ def _push(items: Sequence, rest: Goals) -> Goals:
     for item in reversed(items):
         rest = (item, rest)
     return rest
+
+
+# A clause template numbers the clause's variables as slots, in first-
+# occurrence order over head then body.  A template term is a slot (an int),
+# a term with no variable (kept as it is, and shared), or a compound with a
+# variable as a (functor, argument templates) pair; a body's cut stays as it
+# is.  Resolution fills a register per slot: matching the head sets those of
+# the head, and building the body draws fresh variables for the rest.
+Template = tuple[int, tuple, tuple]  # (slot count, head arguments, body)
+
+
+def _template(t: Term, slots: dict[Var, int]):
+    """The template of ``t``, numbering its new variables in ``slots``."""
+    if type(t) is Var:
+        return slots.setdefault(t, len(slots))
+    if type(t) is not Struct:
+        return t
+    # post-order on an explicit stack: (term, its arguments, templates so far)
+    stack = [(t, iter(t.args), [])]
+    while True:
+        t, args, out = stack[-1]
+        for a in args:
+            if type(a) is Var:
+                out.append(slots.setdefault(a, len(slots)))
+            elif type(a) is Struct and a.args:
+                stack.append((a, iter(a.args), []))
+                break
+            else:
+                out.append(a)
+        else:
+            stack.pop()
+            # a compound whose arguments are all variable-free is kept whole
+            if not any(type(a) is int or type(a) is tuple for a in out):
+                tmpl = t
+            else:
+                tmpl = (t.functor, tuple(out))
+            if not stack:
+                return tmpl
+            stack[-1][2].append(tmpl)
+
+
+def _compile(head: Struct, body: tuple) -> Template:
+    """The template of a clause."""
+    slots: dict[Var, int] = {}
+    head_t = tuple(_template(a, slots) for a in head.args)
+    body_t = tuple(b if type(b) is Cut else _template(b, slots) for b in body)
+    return len(slots), head_t, body_t
+
+
+def _build(tmpl: tuple, regs: list, fresh: FreshVars) -> Struct:
+    """The compound a (functor, argument templates) pair stands for under
+    ``regs``; a slot still empty draws a fresh variable."""
+    stack = [(tmpl[0], iter(tmpl[1]), [])]
+    while True:
+        functor, args, out = stack[-1]
+        for a in args:
+            if type(a) is int:
+                v = regs[a]
+                if v is None:
+                    v = regs[a] = fresh.new()
+                out.append(v)
+            elif type(a) is tuple:
+                stack.append((a[0], iter(a[1]), []))
+                break
+            else:
+                out.append(a)
+        else:
+            stack.pop()
+            term = Struct(functor, tuple(out))
+            if not stack:
+                return term
+            stack[-1][2].append(term)
+
+
+def _match(head: tuple, args: tuple, regs: list, fresh: FreshVars,
+           occurs_check: bool) -> Subst | None:
+    """Match a call's arguments against a head template in place: the
+    bindings of the call's variables, none of which the store binds, and of
+    fresh ones, that make the two equal; None if there are none.
+
+    A slot's first occurrence takes the call's argument as it is.  A
+    compound binds an unbound call variable to the term it builds, and
+    otherwise matches argument by argument; a repeated slot unifies, under
+    the bindings made so far, which are never applied while matching.
+    """
+    theta: Subst = {}
+    stack: list = []
+    for t, a in zip(head, args):
+        while True:
+            if type(t) is int:
+                r = regs[t]
+                if r is None:
+                    regs[t] = a
+                elif unify(r, a, occurs_check, theta) is None:
+                    return None
+            else:
+                while type(a) is Var:
+                    b = theta.get(a)
+                    if b is None:
+                        break
+                    a = b
+                if type(t) is tuple:
+                    if type(a) is Var:
+                        b = _build(t, regs, fresh)
+                        if occurs_check and _occurs(a, b, theta):
+                            return None
+                        theta[a] = b
+                    elif type(a) is Struct and a.functor == t[0] and len(a.args) == len(t[1]):
+                        stack.extend(zip(reversed(t[1]), reversed(a.args)))
+                    else:
+                        return None
+                elif a is t:
+                    pass
+                elif type(a) is Var:
+                    theta[a] = t
+                elif type(t) is Const:
+                    if type(a) is not Const or a.name != t.name:
+                        return None
+                elif unify(a, t, occurs_check, theta) is None:
+                    return None
+            if not stack:
+                break
+            t, a = stack.pop()
+    return theta
 
 
 class Node:
@@ -202,6 +334,8 @@ class TPEngine:
         self._open_first: dict[PredKey, list[int]] = {}
         # both merged, per (predicate, constant) called so far
         self._candidates: dict[tuple[PredKey, str], list[int]] = {}
+        # per non-ground clause, its template, compiled the first time it is tried
+        self._templates: dict[int, Template] = {}
         for key, clauses in program.by_predicate.items():
             by_const: dict[str, list[int]] = {}
             open_: list[int] = []
@@ -436,17 +570,21 @@ class TPEngine:
                     theta = unify(atom, cl.head, occurs_check=self.occurs_check)
                     if theta is None:
                         continue
-                    body = cl.body
+                    body = [CutItem(node) if type(b) is Cut else b for b in cl.body]
                 else:
-                    mapping: dict = {}
-                    theta = unify(atom, rename_apart(cl.head, self._fresh, mapping),
-                                  occurs_check=self.occurs_check)
+                    tmpl = self._templates.get(id(cl))
+                    if tmpl is None:
+                        tmpl = self._templates[id(cl)] = _compile(cl.head, cl.body)
+                    n_slots, head_t, body_t = tmpl
+                    regs = [None] * n_slots
+                    fresh = self._fresh
+                    theta = _match(head_t, args, regs, fresh, self.occurs_check)
                     if theta is None:
                         continue
-                    body = rename_apart(cl.body, self._fresh, mapping)
+                    body = [_build(b, regs, fresh) if type(b) is tuple
+                            else CutItem(node) if type(b) is Cut else b for b in body_t]
                 node.clause_ptr = i + 1
 
-                body = [CutItem(node) if type(b) is Cut else b for b in body]
                 rest = (node, node.items[1]) if tabled else node.items[1]
                 child = self._register(_push(body, rest), node, "clause", theta)
                 if self._sink is not None:

@@ -184,19 +184,22 @@ def _occurs(v: Var, t: Term, s: Subst) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, occurs_check: bool = False) -> Subst | None:
+def unify(a: Term, b: Term, occurs_check: bool = False, s: Subst | None = None) -> Subst | None:
     """Most general unifier of ``a`` and ``b``; None on failure.
 
-    In the variable-variable case the younger variable (larger id) is bound
-    to the older one, so query variables survive resolution against freshly
-    renamed clauses.
+    Given a substitution ``s``, unify ``a`` and ``b`` under its bindings and
+    extend it in place with the new ones: it is the one returned, and on
+    failure it may hold some of them.  In the variable-variable case the
+    younger variable (larger id) is bound to the older one, so query
+    variables survive resolution against fresh clause variables.
 
     >>> s = unify(Struct("p", (Var(0, "X"), Const("b"))),
     ...           Struct("p", (Const("a"), Var(1, "Y"))))
     >>> sorted((v.name, format_term(t)) for v, t in s.items())
     [('X', 'a'), ('Y', 'b')]
     """
-    s: Subst = {}
+    if s is None:
+        s = {}
     stack: list[tuple[Term, Term]] = [(a, b)]
     while stack:
         x, y = stack.pop()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lintab.engine
+from lintab.cli import EXIT_OK, main
 from lintab.engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine, tp_solve
 from lintab.oracle import generate_program, sld_solve
 from lintab.program import Program, parse_program, parse_query
@@ -13,10 +14,13 @@ from lintab.terms import (
     Const,
     CyclicTermError,
     FreshVars,
+    Struct,
+    Var,
     canonicalize,
     format_tuple,
     rename_apart,
     unify,
+    vars_of,
 )
 from lintab.trace import check_clause_skip, check_stack_discipline, format_event
 
@@ -449,6 +453,28 @@ def with_functions(src, rng):
     )
 
 
+def with_var_heads(src, rng):
+    """Rewrite about half the clause heads of a generated program: in some,
+    two arguments become one variable (``p(X,X)``), in the others one
+    argument is nested in ``f(...)``; directives are left as they are."""
+    def rewrite(m):
+        name, args = m.group(1), m.group(2).split(",")
+        roll = rng.random()
+        if roll < 0.25 and len(args) >= 2:
+            v = next((a for a in args if a[0].isupper()), "V")
+            i, j = rng.sample(range(len(args)), 2)
+            args[i] = args[j] = v
+        elif roll < 0.5:
+            i = rng.randrange(len(args))
+            args[i] = f"f({args[i]})"
+        return f"{name}({','.join(args)})"
+
+    return "".join(
+        line if line.startswith(":-") else re.sub(r"^(\w+)\(([^)]*)\)", rewrite, line)
+        for line in src.splitlines(keepends=True)
+    )
+
+
 def test_function_symbol_programs_agree_with_sld():
     compared = 0
     for seed in range(500):
@@ -474,6 +500,32 @@ def test_function_symbol_programs_agree_with_sld():
     assert compared >= 200
 
 
+def test_variable_heavy_heads_agree_with_sld_in_order():
+    # heads with a repeated variable or a nested compound reach the paths
+    # of head matching that the sweep's flat heads almost never do
+    compared = repeated = nested = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        src, query = generate_program(rng)
+        src = with_var_heads(src, rng)
+        if seed % 2:
+            src = with_functions(src, rng)
+        program = parse_program(src)
+        atoms, _ = parse_query(query)
+        ref = sld_solve(program, atoms, depth_bound=6, occurs_check=True)
+        if ref.status != "complete":
+            continue
+        compared += 1
+        heads = [c.head.args for c in program.clauses]
+        repeated += any(len(vars_of(h)) < sum(type(a) is Var for a in h) for h in heads)
+        nested += any(type(a) is Struct and vars_of(a) for h in heads for a in h)
+        r = tp_solve(program, atoms, step_budget=20_000, occurs_check=True)
+        assert r.status == "complete", seed
+        want = list(dict.fromkeys(canonicalize(a) for a in ref.answers))
+        assert [canonicalize(a) for a in r.answers] == want, seed
+    assert compared >= 120 and repeated >= 40 and nested >= 50
+
+
 # -- ancestors are read off the goal list -----------------------------------
 
 
@@ -493,6 +545,10 @@ def test_variant_is_found_across_an_untabled_call():
 # answer takes through memo, fetch and renaming, and the renaming of bodies
 # with variables after a cut: canonical answers, table dump, _steps, event
 # count and trace sha256.
+
+EQ_HEADS = ":- table e/2.\ne(X,Y) :- eq(X,Y).\ne(X,Y) :- eq(f(X),Y).\neq(X,X).\n"
+NESTED_HEAD = ":- table p/1.\np(f(X,g(Y,X))) :- q(Y).\nq(b).\nq(c).\n"
+CYCLIC_HEAD = "p(X,f(X)).\nq(Y) :- p(Y,Y), r, s(Y).\nq(a).\nr.\ns(_).\n"
 
 FALL_THROUGH = {
     "non-ground": (
@@ -546,16 +602,102 @@ FALL_THROUGH = {
         ["TB(p(a,_0)): answers=[(b),(g(c))] status=[0,0] comp=1"],
         14, 30, "8a490a32331a411e9b488c50fa3dbed1518de9bf3cb6416cf33e9ac48271d16b",
     ),
+    # a repeated head variable met by two unbound variables, by a variable
+    # and a compound, and by two different constants
+    "repeated-var-two-vars": (
+        EQ_HEADS, "e(A,B)",
+        ["(_0,_0)", "(_0,f(_0))"],
+        ["TB(e(_0,_1)): answers=[(_0,_0),(_0,f(_0))] status=[0,0] comp=1"],
+        11, 20, "823d7ce6236cfa6a2c5d2a8cb5301c26d2b0c8820037fe06b7a8ad372c946115",
+    ),
+    "repeated-var-and-compound": (
+        EQ_HEADS, "e(A,f(B))",
+        ["(f(_0),_0)", "(_0,_0)"],
+        ["TB(e(_0,f(_1))): answers=[(f(_0),_0),(_0,_0)] status=[0,0] comp=1"],
+        11, 20, "fc949f65f28b301c15127f238fcae171bd341925bb5c0cb2c42ff13d343d45c5",
+    ),
+    "repeated-var-two-constants": (
+        EQ_HEADS, "e(a,b)",
+        [],
+        ["TB(e(a,b)): answers=[] status=[0,0] comp=1"],
+        5, 6, "d7a5390a2077ba4f8cbfbf66442cde969a0c3af31d97c6ec263559f2a70dd4da",
+    ),
+    # a nested head compound met by an unbound variable, which binds to the
+    # head built with fresh variables, by a partly bound compound, and by a
+    # mismatching one
+    "nested-head-unbound": (
+        NESTED_HEAD, "p(V)",
+        ["(f(_0,g(b,_0)))", "(f(_0,g(c,_0)))"],
+        ["TB(p(_0)): answers=[(f(_0,g(b,_0))),(f(_0,g(c,_0)))] status=[0] comp=1"],
+        9, 18, "064c3e2a34710250542b34c5e0f47f9353ece45381768b2b42a4276f7d45daf0",
+    ),
+    "nested-head-partly-bound": (
+        NESTED_HEAD, "p(f(a,Z))",
+        ["(g(b,a))", "(g(c,a))"],
+        ["TB(p(f(a,_0))): answers=[(g(b,a)),(g(c,a))] status=[0] comp=1"],
+        9, 18, "70d5c10abadc5334176ec7527262568c9455ce2310f3b180119067b76876e592",
+    ),
+    "nested-head-mismatch": (
+        NESTED_HEAD, "p(h(a))",
+        [],
+        ["TB(p(h(a))): answers=[] status=[1] comp=1"],
+        1, 2, "5ee33db64cc9d1d47e07453c9ca92502e830c893934e5bee5f9446f257f04611",
+    ),
+    # Z, W and V occur only in the recursive clause's body
+    "body-only-vars-tabled": (
+        ":- table path/2.\npath(X,Y) :- path(X,Z), edge(Z,W), link(W,V,Y).\n"
+        "path(X,Y) :- edge(X,Y).\nedge(a,b).\nedge(b,c).\nedge(c,a).\nlink(W,W,W).\n",
+        "path(a,Y)",
+        ["(b)", "(c)", "(a)"],
+        ["TB(path(a,_0)): answers=[(b),(c),(a)] status=[1,0] comp=1"],
+        47, 75, "d0fc096665aa99344ff054610acac6bd0bf87fbc42d64ceda305436b2753e269",
+    ),
+    # p(X,f(X)) called as p(Y,Y): the occurs check fails the match; without
+    # it Y is bound to f(Y), and the call s(Y) that reads it raises
+    "cyclic-occurs-check": (
+        CYCLIC_HEAD, "q(Z)",
+        ["(a)"],
+        [],
+        5, 7, "1debc6624ece779a4085c60ee638c3757dd38fe3483e20a130baeeb8b55237db",
+    ),
+    "cyclic-no-occurs-check": (
+        CYCLIC_HEAD, "q(Z)",
+        CyclicTermError,
+        [],
+        4, 4, "64cc9f698875b69e4deffbf06b32eddc350192cfac94357224ab12413ff7b9bf",
+    ),
 }
+FALL_THROUGH_OPTIONS = {"cyclic-occurs-check": {"occurs_check": True}}
 
 
 @pytest.mark.parametrize("name", FALL_THROUGH)
 def test_non_ground_and_compound_answers_are_pinned(name):
+    # ``answers`` is the list of canonical answers of a complete run, or the
+    # exception the run raises after the pinned steps and events
     source, query, answers, dump, steps, n_events, digest = FALL_THROUGH[name]
-    r = tp_solve(source, query)
-    assert r.status == "complete"
-    assert [format_tuple(canonicalize(a)) for a in r.answers] == answers
-    assert r.engine.tables.dump() == dump
-    lines = [format_event(e) for e in r.engine.events]
-    assert r.engine._steps == steps
+    events = []
+    engine = TPEngine(parse_program(source), sink=events.append,
+                      **FALL_THROUGH_OPTIONS.get(name, {}))
+    atoms, _ = parse_query(query)
+    if isinstance(answers, list):
+        got = [format_tuple(canonicalize(a)) for a in engine.solve(atoms)]
+        assert got == answers
+    else:
+        with pytest.raises(answers):
+            list(engine.solve(atoms))
+    assert engine.tables.dump() == dump
+    lines = [format_event(e) for e in events]
+    assert engine._steps == steps
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (n_events, digest)
+
+
+def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
+    depth = 3000
+    source = "p(" + "f(" * depth + "X" + ")" * depth + ").\n"
+    query = "p(" + "f(" * depth + "a" + ")" * depth + ")"
+    r = tp_solve(source, query)
+    assert (r.status, r.answers) == ("complete", [()])
+    prog = tmp_path / "deep.pl"
+    prog.write_text(source)
+    assert main(["run", str(prog), "-q", query]) == EXIT_OK
+    assert capsys.readouterr() == ("yes\n", "")
