@@ -11,11 +11,26 @@ off by default; if a cyclic binding built that way is ever traversed,
 a tuple of items.  It replaces variables and rebuilds compound terms; any
 other item (a constant, or the parser's cut) passes through as the same
 object, so a clause's head and body, cuts included, rename in one call.
+Canonical variables come from one series, made once per process, so equal
+canonical forms share their variables and table lookups on them end on
+identity.
+
+Hashing and equality are structural and cheap to repeat.  A variable
+hashes to its id and equals any variable with the same id; a constant
+keeps the hash of its name.  A compound computes its hash the first time
+it is hashed and keeps it.  Two compounds are equal when they are the
+same object, or have the same functor and arity, do not both carry
+different hashes, and have equal arguments pairwise.
+
+No operation here recurses once per nesting level: hashing, equality,
+``apply``, renaming, ``unify`` and ``format_term`` walk on explicit
+stacks, so a term nested as deep as memory allows can be built, compared,
+printed and solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Union
 
 __all__ = [
@@ -42,40 +57,139 @@ class CyclicTermError(Exception):
     """A substitution built with the occurs check off turned out cyclic."""
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
     """A logic variable.  Identity is the numeric id; ``name`` is display only."""
 
-    id: int
-    name: str = field(default="_", compare=False)
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str = "_") -> None:
+        self.id = id
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is Var and other.id == self.id)
+
+    def __hash__(self) -> int:
+        return self.id
 
     def __repr__(self) -> str:
         return f"Var({self.id}, {self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Const:
     """An atomic constant."""
 
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = hash(name)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is Const and other.name == self.name)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Const({self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Struct:
-    """A compound term; also used for atoms (0-ary ones have empty args)."""
+    """A compound term; also used for atoms (0-ary ones have empty args).
 
-    functor: str
-    args: tuple["Term", ...] = ()
+    The hash is computed the first time it is asked for and kept.
+    """
+
+    __slots__ = ("functor", "args", "_hash")
+
+    def __init__(self, functor: str, args: tuple["Term", ...] = ()) -> None:
+        self.functor = functor
+        self.args = args
+        self._hash: int | None = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = _hash_struct(self)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Struct:
+            return False
+        if self.functor != other.functor or len(self.args) != len(other.args):
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return _equal_args(self.args, other.args)
 
     def __repr__(self) -> str:
         return f"Struct({self.functor!r}, {self.args!r})"
 
 
+def _hash_struct(t: Struct) -> int:
+    """Compute and keep the hash of ``t`` and of every compound under it
+    not yet hashed, children first, so hashing never recurses."""
+    for a in t.args:
+        if type(a) is Struct and a._hash is None and a.args:
+            break
+    else:
+        h = t._hash = hash((t.functor, t.args))
+        return h
+    # post-order on an explicit stack: (term, whether its children are hashed)
+    stack = [(t, False)]
+    while stack:
+        u, ready = stack.pop()
+        if u._hash is not None:
+            continue
+        if ready:
+            u._hash = hash((u.functor, u.args))
+            continue
+        stack.append((u, True))
+        for a in u.args:
+            if type(a) is Struct and a._hash is None and a.args:
+                stack.append((a, False))
+    return t._hash
+
+
+def _equal_args(xs: tuple, ys: tuple) -> bool:
+    """Whether two argument tuples of one length are equal, walked pairwise
+    on an explicit stack."""
+    stack = None
+    while True:
+        for a, b in zip(xs, ys):
+            if a is b:
+                continue
+            ta = type(a)
+            if ta is not type(b):
+                return False
+            if ta is Struct:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return False
+                h, g = a._hash, b._hash
+                if h is not None and g is not None and h != g:
+                    return False
+                if stack is None:
+                    stack = []
+                stack.append((a.args, b.args))
+            elif ta is Var:
+                if a.id != b.id:
+                    return False
+            elif a != b:
+                return False
+        if not stack:
+            return True
+        xs, ys = stack.pop()
+
+
 Term = Union[Var, Const, Struct]
 Subst = dict[Var, Term]
+
+# what a memo lookup in ``_apply`` gives for a variable not met yet
+_UNSEEN = object()
 
 
 class FreshVars:
@@ -100,13 +214,26 @@ def format_term(t: Term) -> str:
     >>> format_term(Struct("edge", (Const("a"), Var(0, "X"))))
     'edge(a,X)'
     """
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return t.name
-    if not t.args:
-        return t.functor
-    return f"{t.functor}({','.join(format_term(a) for a in t.args)})"
+    # pre-order on an explicit stack of terms and the punctuation between them
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        elif type(t) is not Struct:
+            out.append(t.name)
+        elif not t.args:
+            out.append(t.functor)
+        else:
+            out.append(t.functor + "(")
+            args = t.args
+            stack.append(")")
+            for i in range(len(args) - 1, 0, -1):
+                stack.append(args[i])
+                stack.append(",")
+            stack.append(args[0])
+    return "".join(out)
 
 
 def format_tuple(ts: tuple[Term, ...]) -> str:
@@ -140,28 +267,102 @@ def max_var_id(x: Term | Iterable) -> int:
 
 
 def apply(t: Term, s: Subst) -> Term:
-    """Apply a substitution, resolving chained bindings."""
+    """Apply a substitution, resolving chained bindings.
+
+    An atom none of whose arguments is bound comes back as the same object,
+    and one whose bound arguments resolve to constants, unbound variables
+    or atoms is rebuilt flat; any other term takes the general walk.
+    """
     if not s:
         return t
-    return _apply(t, s, ())
-
-
-def _apply(t: Term, s: Subst, guard: tuple[Var, ...]) -> Term:
-    while type(t) is Var:
+    if type(t) is Var:
         b = s.get(t)
         if b is None:
             return t
-        if t in guard:
-            raise CyclicTermError(f"cyclic binding through {t.name}")
-        guard = guard + (t,)
-        t = b
-    if type(t) is Const:
+        if type(b) is Const:
+            return b
+        return _apply(t, s)
+    if type(t) is not Struct:
         return t
-    return Struct(t.functor, tuple(_apply(a, s, guard) for a in t.args))
+    args = t.args
+    out = None
+    for i, a in enumerate(args):
+        if type(a) is Var:
+            b = s.get(a)
+            if b is None:
+                if out is not None:
+                    out.append(a)
+                continue
+            if type(b) is Var:
+                if b in s:
+                    return _apply(t, s)
+            elif type(b) is Struct and b.args:
+                return _apply(t, s)
+            if out is None:
+                out = list(args[:i])
+            out.append(b)
+        elif type(a) is Struct and a.args:
+            return _apply(t, s)
+        elif out is not None:
+            out.append(a)
+    return t if out is None else Struct(t.functor, tuple(out))
+
+
+def _apply(t: Term, s: Subst) -> Term:
+    """The general walk of ``apply``: post-order on an explicit stack.
+
+    ``memo`` holds each bound variable met, with None while its value is
+    being resolved and the resolved term once it is, so a variable shared
+    by several arguments is resolved once; meeting a variable again while
+    it is being resolved means its binding is cyclic.  A compound none of
+    whose arguments changed comes back as the same object.
+    """
+    memo: dict[Var, Term | None] = {}
+    # (compound or None for the top, its items, their values so far, the
+    # bound variables whose value it is)
+    stack: list = [(None, iter((t,)), [], None)]
+    while True:
+        term, items, out, owners = stack[-1]
+        for a in items:
+            chain = None
+            resolved = False
+            while type(a) is Var:
+                b = s.get(a)
+                if b is None:
+                    break
+                r = memo.get(a, _UNSEEN)
+                if r is not _UNSEEN:
+                    if r is None:
+                        raise CyclicTermError(f"cyclic binding through {a.name}")
+                    a, resolved = r, True
+                    break
+                memo[a] = None
+                if chain is None:
+                    chain = [a]
+                else:
+                    chain.append(a)
+                a = b
+            if not resolved and type(a) is Struct and a.args:
+                stack.append((a, iter(a.args), [], chain))
+                break
+            if chain is not None:
+                for v in chain:
+                    memo[v] = a
+            out.append(a)
+        else:
+            stack.pop()
+            if term is None:
+                return out[0]
+            if not all(map(is_, out, term.args)):
+                term = Struct(term.functor, tuple(out))
+            if owners is not None:
+                for v in owners:
+                    memo[v] = term
+            stack[-1][2].append(term)
 
 
 def apply_tuple(ts: tuple[Term, ...], s: Subst) -> tuple[Term, ...]:
-    return tuple(apply(t, s) for t in ts)
+    return tuple([apply(t, s) for t in ts])
 
 
 def _deref(t: Term, s: Subst) -> Term:
@@ -177,9 +378,10 @@ def _occurs(v: Var, t: Term, s: Subst) -> bool:
     stack = [t]
     while stack:
         x = _deref(stack.pop(), s)
-        if x == v:
-            return True
-        if isinstance(x, Struct):
+        if type(x) is Var:
+            if x.id == v.id:
+                return True
+        elif type(x) is Struct:
             stack.extend(x.args)
     return False
 
@@ -213,11 +415,15 @@ def unify(a: Term, b: Term, occurs_check: bool = False, s: Subst | None = None) 
             if b_ is None:
                 break
             y = b_
-        if x == y:
+        # identity, not ==: equal compounds would be walked twice, once by
+        # == and once below
+        if x is y:
             continue
         x_var = type(x) is Var
         y_var = type(y) is Var
         if x_var and y_var:
+            if x.id == y.id:
+                continue
             if x.id < y.id:
                 x, y = y, x
             s[x] = y
@@ -230,7 +436,8 @@ def unify(a: Term, b: Term, occurs_check: bool = False, s: Subst | None = None) 
                 return None
             s[y] = x
         elif type(x) is Const or type(y) is Const:
-            return None
+            if x != y:
+                return None
         elif x.functor != y.functor or len(x.args) != len(y.args):
             return None
         else:
@@ -268,30 +475,56 @@ def _rename(x, mapping: dict[Var, Var] | None, fresh: FreshVars | None):
         return x
     if mapping is None:
         mapping = {}
-
-    def repl(t):
-        if type(t) is Var:
-            c = mapping.get(t)
-            if c is None:
-                if fresh is None:
-                    k = len(mapping)
-                    c = Var(-(k + 1), f"_{k}")
-                else:
-                    c = fresh.new()
-                mapping[t] = c
-            return c
-        if type(t) is Struct:
-            return Struct(t.functor, tuple(repl(a) for a in t.args))
-        return t
-
-    # the top level is walked here, not through a call of repl, since each
-    # frame on the way down lowers how deep a term can nest before Python's
-    # recursion limit stops the walk
-    if type(x) is Struct:
-        return Struct(x.functor, tuple(repl(a) for a in x.args))
     if type(x) is Var:
-        return repl(x)
-    return tuple(map(repl, x))
+        return _rename((x,), mapping, fresh)[0]
+    canonical = _CANONICAL
+    # post-order on an explicit stack, as ``engine._build`` walks a template:
+    # (functor, or None for the top-level tuple, its items, renamed so far)
+    if type(x) is Struct:
+        stack = [(x.functor, iter(x.args), [])]
+    else:
+        stack = [(None, iter(x), [])]
+    while True:
+        functor, items, out = stack[-1]
+        for t in items:
+            if type(t) is Var:
+                c = mapping.get(t)
+                if c is None:
+                    if fresh is None:
+                        k = len(mapping)
+                        try:
+                            c = canonical[k]
+                        except IndexError:
+                            c = _canonical_var(k)
+                    else:
+                        c = fresh.new()
+                    mapping[t] = c
+                out.append(c)
+            elif type(t) is Struct and t.args:
+                stack.append((t.functor, iter(t.args), []))
+                break
+            else:
+                out.append(t)
+        else:
+            stack.pop()
+            term = tuple(out) if functor is None else Struct(functor, tuple(out))
+            if not stack:
+                return term
+            stack[-1][2].append(term)
+
+
+# The canonical variables _0, _1, ... in order, each made once: every
+# canonical form draws on this one series, so equal canonical terms share
+# their variables and compare by identity.
+_CANONICAL: list[Var] = []
+
+
+def _canonical_var(k: int) -> Var:
+    """The canonical variable ``_k``, extending the series up to it."""
+    while len(_CANONICAL) <= k:
+        n = len(_CANONICAL)
+        _CANONICAL.append(Var(-(n + 1), f"_{n}"))
+    return _CANONICAL[k]
 
 
 def canonicalize(x, mapping: dict[Var, Var] | None = None):

@@ -1,3 +1,5 @@
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,25 @@ def program_path():
         return str(PROGRAMS / name)
 
     return _path
+
+
+@pytest.fixture
+def shallow_recursion():
+    """A context manager that lowers Python's recursion limit to 100 frames
+    above the depth it is entered at, for the length of its block, so a
+    term walker that recurses once per nesting level fails there on a term
+    nested a few hundred deep."""
+
+    @contextmanager
+    def lowered():
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(old)
+
+    return lowered

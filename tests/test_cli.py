@@ -379,3 +379,30 @@ def test_pipe_closed_before_any_answer_exits_1_quietly(program_path, unbuffered)
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == EXIT_USAGE
     assert stderr == b""
+
+
+NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
+
+
+@pytest.mark.parametrize("flags, answers, limit", [
+    (["--step-budget", "1500"], 499, "step budget"),
+    (["--engine", "sld", "--depth-bound", "1000"], 999, "depth bound"),
+])
+def test_nat_answers_until_a_resource_limit(tmp_path, capsys, flags, answers, limit):
+    # the last answers nest deeper than a recursive printer could go
+    prog = tmp_path / "nat.pl"
+    prog.write_text(NAT)
+    code = main(["run", str(prog), "-q", "nat(X)", *flags])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_RESOURCE, "")
+    assert out.splitlines() == [f"X = {'s(' * i}z{')' * i}" for i in range(answers)] + [
+        f"resource-limit: {limit} exceeded"]
+
+
+def test_a_10000_deep_answer_is_printed(tmp_path, capsys):
+    deep = "s(" * 10_000 + "z" + ")" * 10_000
+    prog = tmp_path / "deep.pl"
+    prog.write_text(f"p({deep}).\n")
+    for engine in ("tp", "sld"):
+        assert main(["run", str(prog), "-q", "p(X)", "--engine", engine]) == EXIT_OK
+        assert capsys.readouterr() == (f"X = {deep}\nno\n", "")

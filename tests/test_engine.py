@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -701,3 +703,100 @@ def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
     prog.write_text(source)
     assert main(["run", str(prog), "-q", query]) == EXIT_OK
     assert capsys.readouterr() == ("yes\n", "")
+
+
+# -- terms nested deeper than Python's stack ----------------------------------
+
+
+def nested(inner, depth):
+    """``s(s(...s(inner)...))`` as source text, ``depth`` levels deep."""
+    return "s(" * depth + inner + ")" * depth
+
+
+DEEP_SOURCE = ":- table p/1.\np({}).\nq(X) :- p(s(X)).\nnat(z).\nnat(s(X)) :- nat(X).\n"
+
+
+def test_a_10000_deep_term_is_solved_by_both_engines():
+    deep = nested("z", 10_000)
+    program = parse_program(DEEP_SOURCE.format(deep))
+    term = program.by_predicate[("p", 1)][0].head.args[0]
+    inner = term.args[0]
+    for query, want in [("p(X)", term), ("q(X)", inner), (f"p({nested('Y', 10_000)})", Const("z"))]:
+        atoms, _ = parse_query(query)
+        r = tp_solve(program, atoms)
+        assert (r.status, r.answers) == ("complete", [(want,)]), query
+        ref = sld_solve(program, atoms, depth_bound=10)
+        assert (ref.status, ref.answers) == ("complete", ((want,),)), query
+    r = tp_solve(program, "q(X)")
+    assert r.engine.tables.dump() == [f"TB(p(s(_0))): answers=[({nested('z', 9_999)})]"
+                                      " status=[0] comp=1"]
+
+
+def test_deep_terms_need_no_deeper_stack(shallow_recursion):
+    # under a recursion limit 100 frames above the test's own depth, a term
+    # walker that recursed once per nesting level would fail on these terms
+    # nested 300 deep
+    program = parse_program(DEEP_SOURCE.format(nested("z", 300)))
+    nat, _ = parse_query("nat(X)")
+    q, _ = parse_query("q(X)")
+    with shallow_recursion():
+        tp_nat = tp_solve(program, nat, step_budget=906)
+        dump = tp_nat.engine.tables.dump()
+        sld_nat = sld_solve(program, nat, depth_bound=302)
+        answers = [[format_tuple(canonicalize(a)) for a in r.answers]
+                   for r in (tp_nat, sld_nat, tp_solve(program, q), sld_solve(program, q, 10))]
+    naturals = [f"({nested('z', i)})" for i in range(301)]
+    assert tp_nat.status == "resource-limit" and sld_nat.status == "depth-exceeded"
+    assert answers == [naturals, naturals, [naturals[299]], [naturals[299]]]
+    assert dump[0].startswith(f"TB(nat(_0)): answers=[{','.join(naturals[:10])},")
+
+
+class _Stopped(Exception):
+    """A run went past its time cap."""
+
+
+def _stop(signum, frame):
+    raise _Stopped
+
+
+def test_function_symbol_programs_never_raise_recursion_error(shallow_recursion):
+    """Seeds 0-299 of ``generate_program``, each with cuts put in and with
+    ``f``/``g`` arguments wrapped, run by ``tp_solve`` at a 200-step budget
+    under a recursion limit 100 frames above the test's depth: none may
+    raise ``RecursionError``.
+
+    No seed is skipped.  A few of these programs nest ``g(T,T)`` in their
+    own answers, which then double in size with each answer, a separate
+    defect of walking such answers as trees, and at this budget they run
+    for seconds or minutes.  So each run stops after 0.2 s and counts as
+    stopped; the slice is not chosen around that growth.
+    """
+    failed, stopped = [], 0
+    old = signal.signal(signal.SIGALRM, _stop)
+    # the cyclic collector could finalize an earlier test's generator while
+    # a run is timed, and the stop raised inside that finalizer would be
+    # swallowed: collect first, and keep the collector off while timing
+    gc.collect()
+    try:
+        for seed in range(300):
+            rng = random.Random(seed)
+            src, query = generate_program(rng)
+            program = parse_program(with_functions(with_cuts(src, rng), rng))
+            atoms, _ = parse_query(query)
+            gc.disable()
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            try:
+                try:
+                    with shallow_recursion():
+                        tp_solve(program, atoms, step_budget=200)
+                except RecursionError:
+                    failed.append(seed)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    gc.enable()
+            except _Stopped:
+                stopped += 1
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert failed == []
+    assert stopped < 30

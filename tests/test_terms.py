@@ -259,3 +259,120 @@ def test_rename_apart_equals_a_structural_walk(x):
     want = structural_walk(x, lambda k: Var(100 + k, f"_G{100 + k}"))
     assert got == want and shown(got) == shown(want)
     assert fresh.new().id == 100 + len(vars_of(x))
+
+
+# -- equality and hashing -----------------------------------------------
+
+
+def same(t, u):
+    """Reference structural comparison on functor, arity, ``Var.id`` and
+    ``Const.name``."""
+    if type(t) is not type(u):
+        return False
+    if isinstance(t, Var):
+        return t.id == u.id
+    if isinstance(t, Const):
+        return t.name == u.name
+    return (t.functor == u.functor and len(t.args) == len(u.args)
+            and all(same(x, y) for x, y in zip(t.args, u.args)))
+
+
+def rebuilt(t):
+    """A copy of ``t`` made of new objects, variable names changed."""
+    if isinstance(t, Var):
+        return Var(t.id, t.name + "'")
+    if isinstance(t, Const):
+        return Const(t.name)
+    return Struct(t.functor, tuple(rebuilt(a) for a in t.args))
+
+
+named_variables = st.builds(Var, st.integers(min_value=0, max_value=3), st.sampled_from("VW"))
+mixed_terms = st.recursive(
+    consts | named_variables,
+    lambda children: st.builds(
+        Struct,
+        st.sampled_from(["f", "g"]),
+        st.tuples(children) | st.tuples(children, children),
+    ),
+    max_leaves=6,
+)
+term_pairs = st.tuples(mixed_terms, mixed_terms) | mixed_terms.map(lambda t: (t, rebuilt(t)))
+
+
+def hash_parts(t, which):
+    """Hash ``t`` itself (``which`` 1), its arguments (2), both (3) or
+    nothing (0), so comparisons meet every mix of cached hashes."""
+    if which & 2 and isinstance(t, Struct):
+        for a in t.args:
+            hash(a)
+    if which & 1:
+        hash(t)
+
+
+@given(term_pairs, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_equality_is_structural_and_agrees_with_hashing(pair, hashed_t, hashed_u):
+    t, u = pair
+    hash_parts(t, hashed_t)
+    hash_parts(u, hashed_u)
+    assert (t == u) == (u == t) == same(t, u)
+    assert (t != u) == (not same(t, u))
+    if t == u:
+        assert hash(t) == hash(u)
+
+
+DEPTH = 10_000
+
+
+def nest(inner, depth=DEPTH):
+    """``s(s(...s(inner)...))``, ``depth`` levels deep."""
+    for _ in range(depth):
+        inner = Struct("s", (inner,))
+    return inner
+
+
+def test_a_deep_term_hashes_and_compares():
+    t, u = nest(a), nest(a)
+    assert t == u and hash(t) == hash(u)
+    other = nest(b)
+    assert t != other and other != u
+    # the same comparisons once every hash is cached
+    hash(other)
+    assert t == u and t != other
+    # and between a hashed term and an unhashed one
+    assert nest(a) == t and nest(b) != t
+    assert t != nest(a, DEPTH - 1) and nest(X) != t
+
+
+def test_a_deep_term_is_applied_renamed_and_printed():
+    shown = "s(" * DEPTH + "a" + ")" * DEPTH
+    t = nest(a)
+    assert format_term(t) == shown
+    assert apply(Struct("p", (X, X)), {X: t}) == Struct("p", (t, t))
+    # a binding chain as deep as the term: X0 -> s(X1) -> ... -> s(a)
+    vs = [Var(i, f"X{i}") for i in range(DEPTH)]
+    s = {v: Struct("s", (w,)) for v, w in zip(vs, vs[1:])}
+    s[vs[-1]] = Struct("s", (a,))
+    assert apply(vs[0], s) == t
+    assert format_term(apply(vs[0], s)) == shown
+    open_ = nest(Y)
+    assert canonicalize(open_) == nest(Var(-1, "_0"))
+    fresh = FreshVars(DEPTH)
+    assert rename_apart((open_, Z), fresh) == (nest(Var(DEPTH)), Var(DEPTH + 1))
+    assert vars_of(open_) == [Y] and max_var_id(open_) == 1
+    assert unify(open_, t) == {Y: a}
+
+
+def test_a_cyclic_binding_is_reported_through_the_variable_met_again():
+    with pytest.raises(CyclicTermError, match="through X$"):
+        apply(p(a, X), {X: Y, Y: X})
+    with pytest.raises(CyclicTermError, match="through Y$"):
+        apply(p(X), {X: Struct("f", (b, Y)), Y: Struct("g", (Y,))})
+    # a variable met twice on different paths is not a cycle
+    t = apply(p(X, X), {X: Struct("f", (Y, Y)), Y: Struct("g", (a,))})
+    assert format_term(t) == "p(f(g(a),g(a)),f(g(a),g(a)))"
+
+
+def test_canonical_forms_share_their_variables():
+    first = canonicalize(p(X, Y))
+    second = canonicalize((Z, Var(9, "Q"), a))
+    assert first.args[0] is second[0] and first.args[1] is second[1]
