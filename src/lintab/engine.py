@@ -29,12 +29,12 @@ reads the copy's variables through the store, and the end of the goal list
 reads the query's as an answer.  With the occurs check off, a cyclic
 binding raises ``CyclicTermError`` only once one of these reads it.
 
-A clause with a variable is compiled into a template the first time it is
-tried, and resolution matches the call against its head in place, as a
-Prolog machine's head instructions do: the call's arguments fill the
-head's variables, only the call's own variables get bindings, and only
-the body is built.  A clause without variables unifies with its head as
-it is.
+Every clause resolves through its template, one way, as a Prolog
+machine's head instructions do: resolution matches the call against the
+head in place, the call's arguments fill the head's variables, only the
+call's own variables get bindings, and only the body is built.  A clause
+with a variable is compiled into its template the first time it is tried;
+a clause without one is its own template.
 
 A node's goal list is a chain of ``(item, rest)`` cells ending in None, and
 like a Prolog continuation it is shared, not copied: a clause body is pushed
@@ -129,7 +129,9 @@ def _push(items: Sequence, rest: Goals) -> Goals:
 # a term with no variable (kept as it is, and shared), or a compound with a
 # variable as a (functor, argument templates) pair; a body's cut stays as it
 # is.  Resolution fills a register per slot: matching the head sets those of
-# the head, and building the body draws fresh variables for the rest.
+# the head, and building the body draws fresh variables for the rest.  A
+# clause without variables is its own template: no slots, its head's
+# arguments and its body as they are.
 Template = tuple[int, tuple, tuple]  # (slot count, head arguments, body)
 
 
@@ -324,9 +326,6 @@ class TPEngine:
         self._steps = 0
         self._next_id = 0
         self._fresh = FreshVars()
-        # per clause: (position, name) of constant head args for cheap
-        # mismatch rejection, and whether the clause is ground
-        self._clause_info: dict[int, tuple[tuple, bool]] = {}
         # first-argument index, per predicate: the positions of the clauses
         # whose first head argument is a given constant, and of those whose
         # first head argument is not a constant (these match any constant)
@@ -334,20 +333,20 @@ class TPEngine:
         self._open_first: dict[PredKey, list[int]] = {}
         # both merged, per (predicate, constant) called so far
         self._candidates: dict[tuple[PredKey, str], list[int]] = {}
-        # per non-ground clause, its template, compiled the first time it is tried
+        # per clause, its template: a ground clause's is set here, and any
+        # other's is compiled the first time the clause is tried
         self._templates: dict[int, Template] = {}
         for key, clauses in program.by_predicate.items():
             by_const: dict[str, list[int]] = {}
             open_: list[int] = []
             for i, cl in enumerate(clauses):
-                const_pos = tuple(
-                    (j, a.name) for j, a in enumerate(cl.head.args) if isinstance(a, Const)
-                )
-                self._clause_info[id(cl)] = (const_pos, _ground((cl.head,) + cl.body))
-                if const_pos and const_pos[0][0] == 0:
-                    by_const.setdefault(const_pos[0][1], []).append(i)
+                args = cl.head.args
+                if args and type(args[0]) is Const:
+                    by_const.setdefault(args[0].name, []).append(i)
                 else:
                     open_.append(i)
+                if _ground((cl.head,) + cl.body):
+                    self._templates[id(cl)] = (0, args, cl.body)
             self._const_first[key] = by_const
             self._open_first[key] = open_
 
@@ -550,47 +549,35 @@ class TPEngine:
         # positions below j have ordinals up to j, so a variant skips them
         start = max(node.clause_ptr, node.anc)
         if args and type(args[0]) is Const:
-            # first-argument indexing: skip only clauses the const_pos
-            # check below would reject, so the trace is the same
+            # first-argument indexing: skip only clauses whose head the
+            # matcher would reject, so the trace is the same
             cands = self._first_arg_candidates(key, args[0].name)
             positions = islice(cands, bisect_left(cands, start), None)
         else:
             positions = range(start, len(clauses))
+        fresh = self._fresh
         for i in positions:
-            cl = clauses[i]
             if tabled and not tbl.clause_status[i]:
                 continue
-            const_pos, ground = self._clause_info[id(cl)]
-            for pos, cname in const_pos:
-                a = args[pos]
-                if type(a) is not Var and not (type(a) is Const and a.name == cname):
-                    break
-            else:
-                if ground:
-                    theta = unify(atom, cl.head, occurs_check=self.occurs_check)
-                    if theta is None:
-                        continue
-                    body = [CutItem(node) if type(b) is Cut else b for b in cl.body]
-                else:
-                    tmpl = self._templates.get(id(cl))
-                    if tmpl is None:
-                        tmpl = self._templates[id(cl)] = _compile(cl.head, cl.body)
-                    n_slots, head_t, body_t = tmpl
-                    regs = [None] * n_slots
-                    fresh = self._fresh
-                    theta = _match(head_t, args, regs, fresh, self.occurs_check)
-                    if theta is None:
-                        continue
-                    body = [_build(b, regs, fresh) if type(b) is tuple
-                            else CutItem(node) if type(b) is Cut else b for b in body_t]
-                node.clause_ptr = i + 1
+            cl = clauses[i]
+            tmpl = self._templates.get(id(cl))
+            if tmpl is None:
+                tmpl = self._templates[id(cl)] = _compile(cl.head, cl.body)
+            n_slots, head_t, body_t = tmpl
+            regs = [None] * n_slots
+            theta = _match(head_t, args, regs, fresh, self.occurs_check)
+            if theta is None:
+                continue
+            body = [_build(b, regs, fresh) if type(b) is tuple
+                    else CutItem(node) if type(b) is Cut else b for b in body_t]
+            node.clause_ptr = i + 1
 
-                rest = (node, node.items[1]) if tabled else node.items[1]
-                child = self._register(_push(body, rest), node, "clause", theta)
-                if self._sink is not None:
-                    anc = {"anc": node.anc} if tabled else {}
-                    self._expanded(child, clause=cl.label, ord=cl.ordinal, **anc)
-                return child
+            rest = (node, node.items[1]) if tabled else node.items[1]
+            child = self._register(_push(body, rest), node, "clause", theta)
+            if self._sink is not None:
+                anc = {"anc": node.anc} if tabled else {}
+                self._expanded(child, clause=cl.label, ord=cl.ordinal, **anc)
+            return child
         node.clause_ptr = len(clauses)
         return None
 

@@ -37,7 +37,6 @@ from .terms import (
     Var,
     apply,
     apply_tuple,
-    canonicalize,
     max_var_id,
     rename_apart,
     unify,
@@ -61,10 +60,6 @@ __all__ = [
 class OracleResult:
     answers: tuple[tuple[Term, ...], ...]
     status: str  # "complete" | "depth-exceeded"
-
-    @property
-    def answer_set(self) -> frozenset:
-        return frozenset(canonicalize(a) for a in self.answers)
 
 
 class UnsupportedProgramError(Exception):

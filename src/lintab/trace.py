@@ -63,8 +63,6 @@ def event(kind: str, **fields) -> TraceEvent:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, (Var, Const, Struct)):
         return format_term(v)
     if isinstance(v, tuple):

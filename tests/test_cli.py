@@ -212,6 +212,11 @@ def test_interactive_session(program_path):
     assert "error" not in err
 
 
+def test_interactive_skips_a_blank_line(program_path):
+    code, out, err = invoke(program_path("p1.pl"), stdin="\n  \nhalt.\n", interactive=True)
+    assert (code, out, err) == (EXIT_OK, "?- ?- ?- ", "")
+
+
 def test_interactive_parse_error_keeps_going(program_path):
     stdin = "p(a\nreach(e,e).\n"
     code, out, err = invoke(program_path("p1.pl"), stdin=stdin, interactive=True)
@@ -295,6 +300,14 @@ def test_main_rejects_a_bound_below_one(program_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_USAGE, "")
     assert f"argument {flag}: must be at least 1, not {value}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_main_rejects_a_bound_that_is_not_an_integer(program_path, capsys):
+    code = main(["run", program_path("p1.pl"), "-q", "p(X)", "--step-budget", "abc"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "argument --step-budget: invalid int value: 'abc'" in captured.err
     assert "Traceback" not in captured.err
 
 

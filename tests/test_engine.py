@@ -705,6 +705,48 @@ def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
     assert capsys.readouterr() == ("yes\n", "")
 
 
+# -- clauses the matcher rejects or admits ------------------------------------
+# Every clause, ground or not, is tried by matching the call against its
+# template: a constant inside a head compound met by a different one, ground
+# heads met by a repeated variable, and a ground compound head met by a
+# partly bound call.  Each pins canonical answers, table dump, _steps, event
+# count and trace sha256, the same with and without the occurs check.
+
+NO_CLAUSE = ([], [], 1, 2, "5ee33db64cc9d1d47e07453c9ca92502e830c893934e5bee5f9446f257f04611")
+
+MATCHER = {
+    "head-constant-differs": ("q(f(a,X)).\n", "q(f(b,Y))", *NO_CLAUSE),
+    "head-constant-same": (
+        "q(f(a,X)).\n", "q(f(a,Y))",
+        ["(_0)"], [], 3, 5, "4771cfe2c2cc60257eedfb5725221c5faf683d91d7e9864c257c134ab018d9e5",
+    ),
+    "ground-repeated-var-same": (
+        "p(f(a),f(a)).\n", "p(X,X)",
+        ["(f(a))"], [], 3, 5, "e4acf8ae86a7fc9a95910fdff72b8e70ab412926eb652f4832bdb174efcd5738",
+    ),
+    "ground-repeated-var-differs": ("p(f(a),f(b)).\n", "p(X,X)", *NO_CLAUSE),
+    "ground-compound-partly-bound": (
+        "p(f(a),g(b)).\n", "p(f(X),Y)",
+        ["(a,g(b))"], [], 3, 5, "21185a9c5c3fa37ebb8687bfd34d72b8e15f1b3ad71101cbabbf9e0852ae6156",
+    ),
+    "ground-compound-differs": ("p(f(a),g(b)).\n", "p(f(b),Y)", *NO_CLAUSE),
+}
+
+
+@pytest.mark.parametrize("occurs_check", [False, True])
+@pytest.mark.parametrize("name", MATCHER)
+def test_matcher_rejections_are_pinned(name, occurs_check):
+    source, query, answers, dump, steps, n_events, digest = MATCHER[name]
+    events = []
+    engine = TPEngine(parse_program(source), sink=events.append, occurs_check=occurs_check)
+    atoms, _ = parse_query(query)
+    assert [format_tuple(canonicalize(a)) for a in engine.solve(atoms)] == answers
+    assert engine.tables.dump() == dump
+    lines = [format_event(e) for e in events]
+    assert engine._steps == steps
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (n_events, digest)
+
+
 # -- terms nested deeper than Python's stack ----------------------------------
 
 

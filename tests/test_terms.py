@@ -320,6 +320,24 @@ def test_equality_is_structural_and_agrees_with_hashing(pair, hashed_t, hashed_u
         assert hash(t) == hash(u)
 
 
+def test_nested_compounds_that_differ_are_unequal():
+    def f(*args):
+        return Struct("f", args)
+
+    def g(*args):
+        return Struct("g", args)
+
+    # a nested functor, then a nested arity, that differs
+    assert f(g(a)) != f(Struct("h", (a,)))
+    assert f(g(a)) != f(g(a, b))
+    # nested compounds whose hashes are cached and differ, in unhashed outers
+    left, right = f(g(a)), f(g(b))
+    hash(left.args[0])
+    hash(right.args[0])
+    assert left._hash is None and right._hash is None
+    assert left != right
+
+
 DEPTH = 10_000
 
 
