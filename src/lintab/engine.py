@@ -41,7 +41,11 @@ like a Prolog continuation it is shared, not copied: a clause body is pushed
 onto the tail its call leaves, and a cut's or a fetch's continuation is that
 tail as it is.  A step therefore costs what its call and body cost, whatever
 the depth of the derivation.  Ground terms are shared too: a ground call or
-answer is its own canonical form, its own renaming and its own copy.
+answer is its own canonical form, its own renaming and its own copy.  The
+table store looks a tabled call up as it stands, through the binding store,
+and marks a ground key or answer when it stores it, so a ground table key
+is its call's clause copy and a ground answer is bound as stored, neither
+walked again.
 
 A call's ancestors are the tabled calls whose memo-looks are pending behind
 it in its goal list, nearest first: the frames its continuation has yet to
@@ -455,20 +459,22 @@ class TPEngine:
         stored = tbl.answers[pos]
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
-        tup = rename_apart(stored, self._fresh)
+        tup = stored if tbl.answer_ground[pos] else rename_apart(stored, self._fresh)
         child = self._register(node.items[1], node, source, dict(zip(owner.call_vars, tup)))
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
         return child
 
     def _tabled_call(self, node: Node, atom: Struct) -> Node | None:
-        if node.table is None:
-            atom = apply(atom, self._store)
-            n_clauses = len(self.program.by_predicate.get((atom.functor, len(atom.args)), ()))
-            call_vars: dict[Var, Var] = {}
-            node.table, _ = self.tables.get_or_create(atom, n_clauses, call_vars)
-            node.call_vars = tuple(call_vars)
         tbl = node.table
+        if tbl is None:
+            call_vars: dict[Var, Var] = {}
+            tbl, created = self.tables.get_or_create(atom, 0, call_vars, self._store)
+            if created:
+                clauses = self.program.by_predicate.get((atom.functor, len(atom.args)), ())
+                tbl.clause_status = [1] * len(clauses)
+            node.table = tbl
+            node.call_vars = tuple(call_vars)
 
         # table first: consume answers before touching clauses
         if node.answer_ptr < len(tbl.answers):
@@ -478,9 +484,12 @@ class TPEngine:
         if node.atom is None:
             # clauses resolve a fresh copy of the call, so the body's
             # bindings reach the caller only through the table
-            copy: dict[Var, Var] = {}
-            node.atom = rename_apart(tbl.key, self._fresh, copy)
-            node.copy_vars = tuple(copy.values())
+            if tbl.key_ground:
+                node.atom = tbl.key
+            else:
+                copy: dict[Var, Var] = {}
+                node.atom = rename_apart(tbl.key, self._fresh, copy)
+                node.copy_vars = tuple(copy.values())
 
         if node.anc == -1 and not self._ancestor_variant(node, rerun=False):
             node.anc = 0

@@ -7,7 +7,17 @@ derivation order and never removed; duplicates up to renaming are dropped.
 Each table also carries one status bit per defining clause (cleared when
 resolution proves a clause exhausted or cut away) and a completion flag.
 A ground subgoal or answer is its own canonical form and is kept as it
-comes, without a copy.
+comes, without a copy; the table marks its key and each answer ground or
+not, so the engine can use a ground one as its own renaming.
+
+A call is looked up as it stands, its arguments dereferenced through the
+engine's binding store, in one pass that builds a flat variant key: the
+functor, then per argument a constant's name (a ``str``) or a variable's
+first-occurrence number (an ``int``).  Such a tuple hashes and compares in
+C, so a hit builds no term.  The canonical key is built from the same pass
+only when a table is made, and ``tables`` keeps it, in creation order.  A
+call with a compound argument takes the general walk: ``apply``, then
+``canonicalize``.
 
 The store keeps two global memo counters: a boolean flag cleared at the
 start of every re-evaluation pass, and a monotone count of all answers
@@ -20,7 +30,19 @@ a ground subgoal's empty tuple is the degenerate case.
 from __future__ import annotations
 
 # vars_of is unused here, but bench/layers.py wraps lintab.tables.vars_of
-from .terms import Struct, Term, Var, canonicalize, format_term, format_tuple, vars_of
+from .terms import (
+    Const,
+    Struct,
+    Subst,
+    Term,
+    Var,
+    _canonical_var,
+    apply,
+    canonicalize,
+    format_term,
+    format_tuple,
+    vars_of,
+)
 
 __all__ = ["Table", "TableStore"]
 
@@ -28,11 +50,14 @@ __all__ = ["Table", "TableStore"]
 class Table:
     """One memoized subgoal: answers, per-clause status bits, completion."""
 
-    __slots__ = ("key", "answers", "clause_status", "comp", "_seen")
+    __slots__ = ("key", "key_ground", "answers", "answer_ground", "clause_status", "comp",
+                 "_seen")
 
-    def __init__(self, key: Struct, n_clauses: int) -> None:
+    def __init__(self, key: Struct, n_clauses: int, key_ground: bool) -> None:
         self.key = key
+        self.key_ground = key_ground
         self.answers: list[tuple[Term, ...]] = []
+        self.answer_ground: list[bool] = []  # per answer, whether it is ground
         self.clause_status: list[int] = [1] * n_clauses
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
@@ -46,21 +71,55 @@ class TableStore:
 
     def __init__(self) -> None:
         self.tables: dict[Struct, Table] = {}
+        # the same tables, by the flat key of each whose call had no compound
+        self._flat: dict[tuple, Table] = {}
         self.new_flag = False
         self.memo_count = 0
 
     def get_or_create(self, subgoal: Struct, n_clauses: int,
-                      mapping: dict[Var, Var] | None = None) -> tuple[Table, bool]:
-        """The subgoal's table and whether it was just made.  A ground
-        subgoal is its own key; ``mapping``, when given, receives the
-        subgoal's variables in first-occurrence order, as ``canonicalize``
+                      mapping: dict[Var, Var] | None = None,
+                      store: Subst | None = None) -> tuple[Table, bool]:
+        """The table of ``subgoal`` under the bindings in ``store`` and
+        whether it was just made.  ``mapping``, when given, receives the
+        call's variables in first-occurrence order, as ``canonicalize``
         fills it."""
-        key = canonicalize(subgoal, mapping)
-        t = self.tables.get(key)
+        if mapping is None:
+            mapping = {}
+        if store is None:
+            store = {}
+        key = [subgoal.functor]
+        args = []
+        for a in subgoal.args:
+            while type(a) is Var:
+                b = store.get(a)
+                if b is None:
+                    break
+                a = b
+            if type(a) is Var:
+                c = mapping.get(a)
+                if c is None:
+                    c = mapping[a] = _canonical_var(len(mapping))
+                key.append(~c.id)  # the canonical _k has id -(k+1)
+                args.append(c)
+            elif type(a) is Const:
+                key.append(a.name)
+                args.append(a)
+            else:
+                # a compound argument: the general walk, which numbers the
+                # variables met so far as this pass did
+                subgoal = apply(subgoal, store)
+                canonical = canonicalize(subgoal, mapping)
+                t = self.tables.get(canonical)
+                if t is not None:
+                    return t, False
+                t = self.tables[canonical] = Table(canonical, n_clauses, canonical is subgoal)
+                return t, True
+        flat = tuple(key)
+        t = self._flat.get(flat)
         if t is not None:
             return t, False
-        t = Table(key, n_clauses)
-        self.tables[key] = t
+        canonical = Struct(subgoal.functor, tuple(args))
+        t = self._flat[flat] = self.tables[canonical] = Table(canonical, n_clauses, not mapping)
         return t, True
 
     def memo(self, table: Table, answer: tuple[Term, ...]) -> tuple[tuple[Term, ...], bool]:
@@ -70,6 +129,8 @@ class TableStore:
         if tup in table._seen:
             return tup, False
         table.answers.append(tup)
+        # a ground answer is its own canonical form
+        table.answer_ground.append(tup is answer)
         table._seen.add(tup)
         self.new_flag = True
         self.memo_count += 1

@@ -371,11 +371,11 @@ def test_pipe_closed_after_one_line_exits_1_quietly(tmp_path, unbuffered):
     # when the reader closes its end
     prog = tmp_path / "n.pl"
     prog.write_text("".join(f"n(k{i}).\n" for i in range(20_000)))
-    proc = _tp([str(prog), "-q", "n(X)"], unbuffered, subprocess.PIPE)
-    assert proc.stdout.readline() == b"X = k0\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == EXIT_USAGE
+    with _tp([str(prog), "-q", "n(X)"], unbuffered, subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"X = k0\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_USAGE
     assert stderr == b""
 
 
@@ -389,8 +389,9 @@ def test_pipe_closed_before_any_answer_exits_1_quietly(program_path, unbuffered)
         proc = _tp([program_path("p1.pl"), "-q", "reach(X,Y)"], unbuffered, write_end)
     finally:
         os.close(write_end)
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == EXIT_USAGE
+    with proc:
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_USAGE
     assert stderr == b""
 
 

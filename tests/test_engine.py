@@ -19,6 +19,7 @@ from lintab.terms import (
     Struct,
     Var,
     canonicalize,
+    format_term,
     format_tuple,
     rename_apart,
     unify,
@@ -539,6 +540,59 @@ def test_variant_is_found_across_an_untabled_call():
                       frozenset({("p", 1)}))
     r = tp_solve(program, "p(X)", step_budget=3000)
     assert (r.status, answers_of(r), r.engine._steps) == ("complete", ["(a)"], 16)
+
+
+# -- ground terms are their own copies --------------------------------------
+# A ground answer is bound as stored and a ground table key is its own clause
+# copy; anything else is renamed apart on every use.
+
+SHARED = ":- table p/2.\np(f(X), X).\np(a, b).\np(g(Y, Z), h(Z)).\n"
+
+
+def test_non_ground_answers_get_fresh_variables_on_each_fetch():
+    r = tp_solve(SHARED, "p(A, B), p(C, D)")
+    assert answers_of(r) == [
+        "(f(_G7),_G7,f(_G8),_G8)", "(f(_G7),_G7,a,b)", "(f(_G7),_G7,g(_G14,_G15),h(_G15))",
+        "(a,b,f(_G16),_G16)", "(a,b,a,b)", "(a,b,g(_G17,_G18),h(_G18))",
+        "(g(_G19,_G20),h(_G20),f(_G21),_G21)", "(g(_G19,_G20),h(_G20),a,b)",
+        "(g(_G19,_G20),h(_G20),g(_G22,_G23),h(_G23))",
+    ]
+    # the answer (f(_0),_0), fetched once for each call
+    a, b, c, d = r.answers[0]
+    assert a.args[0] is b and c.args[0] is d and b is not d
+
+
+def test_ground_answers_and_keys_are_used_as_stored(monkeypatch):
+    renamed = []
+    rename = lintab.engine.rename_apart
+    monkeypatch.setattr(lintab.engine, "rename_apart",
+                        lambda x, *rest: renamed.append(x) or rename(x, *rest))
+    copies = []
+    clause_child = TPEngine._clause_child
+
+    def record(self, node):
+        if node.table is not None:
+            copies.append((node.atom, node.table))
+        return clause_child(self, node)
+
+    monkeypatch.setattr(TPEngine, "_clause_child", record)
+    r = tp_solve(SHARED, "p(X, b), p(a, b)")
+    assert answers_of(r) == ["(f(b))", "(a)"]
+    keyed = {format_term(t.key): t for t in r.engine.tables.tables.values()}
+    assert list(keyed) == ["p(_0,b)", "p(a,b)"]
+    # the ground answers are bound as stored, and p(a,b) is its own copy
+    assert [id(x[0]) for x in r.answers] == [id(y[0]) for y in keyed["p(_0,b)"].answers]
+    assert {id(atom) for atom, t in copies if t.key_ground} == {id(keyed["p(a,b)"].key)}
+    # only the non-ground key p(_0,b) was renamed
+    assert renamed == [keyed["p(_0,b)"].key]
+
+
+def test_a_tabled_call_on_a_cyclic_binding_raises():
+    # without the occurs check p(Y,Y) binds Z to f(Z); the tabled call s(a,Z)
+    # then meets it when it looks up its table
+    src = ":- table s/2.\np(X,f(X)).\nq(Y) :- p(Y,Y), s(a,Y).\ns(_,_).\n"
+    with pytest.raises(CyclicTermError, match="^cyclic binding through Z$"):
+        tp_solve(src, "q(Z)")
 
 
 # -- answers that are not ground or not function-free -----------------------

@@ -1,6 +1,9 @@
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 import lintab.tables
 from lintab.tables import TableStore
-from lintab.terms import Const, Struct, Var, canonicalize
+from lintab.terms import Const, CyclicTermError, Struct, Var, apply, canonicalize, format_term
 
 X, Y = Var(0, "X"), Var(1, "Y")
 a, b = Const("a"), Const("b")
@@ -118,3 +121,65 @@ def test_answers_are_append_only_in_order():
     for c in ("c", "a", "b"):
         store.memo(t, (Const(c),))
     assert [x[0].name for x in t.answers] == ["c", "a", "b"]
+
+
+# -- the flat lookup against the canonical key --------------------------------
+# A call without a compound argument is looked up by a flat key built in one
+# pass through the bindings; it must find the table the canonical form of the
+# resolved call names, and fill ``mapping`` in canonicalize's order.
+
+NAMES = ["a", "0", "_0", "X", "1"]
+
+
+@st.composite
+def calls_under_bindings(draw):
+    pool = [Var(i, f"V{i}") for i in range(5)]
+    bindings = {}
+    for i, v in enumerate(pool):
+        # a variable binds to a constant, or to an older variable, bare or
+        # in a compound, so chains end and no binding is cyclic
+        kind = draw(st.sampled_from(["free", "free", "var", "const", "compound"]))
+        if kind == "const" or (kind != "free" and i == 0):
+            bindings[v] = Const(draw(st.sampled_from(NAMES)))
+        elif kind == "var":
+            bindings[v] = pool[draw(st.integers(0, i - 1))]
+        elif kind == "compound":
+            bindings[v] = Struct("f", (pool[draw(st.integers(0, i - 1))],))
+    arg = st.one_of(st.sampled_from(pool),
+                    st.sampled_from(NAMES).map(Const),
+                    st.sampled_from(pool).map(lambda v: Struct("g", (v,))))
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(["p", "q"]), st.lists(arg, max_size=4)), min_size=1, max_size=8))
+    return [Struct(f, tuple(args)) for f, args in calls], bindings
+
+
+Z = Var(2, "Z")
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls_under_bindings())
+# repeated variables, constants that print as variables, a variable bound
+# to a constant, and a compound argument
+@example(([call(X, X), call(X, Y), call(Y, Y), call(Y, X), call(X), call(Const("0")),
+           call(Const("_0")), call(Const("X")), call(Z), call(a), call(Y, Struct("g", (X, Y)))],
+          {Z: a}))
+def test_flat_lookup_finds_the_canonical_table(case):
+    calls, bindings = case
+    store = TableStore()
+    for atom in calls:
+        want_mapping = {}
+        key = canonicalize(apply(atom, bindings), want_mapping)
+        before = store.tables.get(key)
+        mapping = {}
+        t, created = store.get_or_create(atom, 2, mapping, bindings)
+        assert store.tables.get(key) is t
+        assert created == (before is None)
+        assert list(mapping.items()) == list(want_mapping.items())
+        assert t.key_ground == (not want_mapping)
+
+
+def test_a_cyclic_binding_raises_naming_the_variable():
+    # the occurs check was off when X was bound to f(X)
+    bindings = {X: Struct("f", (X,))}
+    with pytest.raises(CyclicTermError, match="^cyclic binding through X$"):
+        TableStore().get_or_create(call(a, X), 1, {}, bindings)
