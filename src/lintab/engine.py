@@ -41,11 +41,10 @@ like a Prolog continuation it is shared, not copied: a clause body is pushed
 onto the tail its call leaves, and a cut's or a fetch's continuation is that
 tail as it is.  A step therefore costs what its call and body cost, whatever
 the depth of the derivation.  Ground terms are shared too: a ground call or
-answer is its own canonical form, its own renaming and its own copy.  The
-table store looks a tabled call up as it stands, through the binding store,
-and marks a ground key or answer when it stores it, so a ground table key
-is its call's clause copy and a ground answer is bound as stored, neither
-walked again.
+answer is its own canonical form, its own renaming and its own copy, and a
+compound keeps whether it is ground, so renaming a ground table key or a
+ground answer returns it as it is without walking it.  The table store
+looks a tabled call up as it stands, through the binding store.
 
 A call's ancestors are the tabled calls whose memo-looks are pending behind
 it in its goal list, nearest first: the frames its continuation has yet to
@@ -143,7 +142,7 @@ def _template(t: Term, slots: dict[Var, int]):
     """The template of ``t``, numbering its new variables in ``slots``."""
     if type(t) is Var:
         return slots.setdefault(t, len(slots))
-    if type(t) is not Struct:
+    if type(t) is not Struct or _ground(t):
         return t
     # post-order on an explicit stack: (term, its arguments, templates so far)
     stack = [(t, iter(t.args), [])]
@@ -152,18 +151,14 @@ def _template(t: Term, slots: dict[Var, int]):
         for a in args:
             if type(a) is Var:
                 out.append(slots.setdefault(a, len(slots)))
-            elif type(a) is Struct and a.args:
+            elif type(a) is Struct and a.args and not _ground(a):
                 stack.append((a, iter(a.args), []))
                 break
             else:
                 out.append(a)
         else:
             stack.pop()
-            # a compound whose arguments are all variable-free is kept whole
-            if not any(type(a) is int or type(a) is tuple for a in out):
-                tmpl = t
-            else:
-                tmpl = (t.functor, tuple(out))
+            tmpl = (t.functor, tuple(out))
             if not stack:
                 return tmpl
             stack[-1][2].append(tmpl)
@@ -459,7 +454,7 @@ class TPEngine:
         stored = tbl.answers[pos]
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
-        tup = stored if tbl.answer_ground[pos] else rename_apart(stored, self._fresh)
+        tup = rename_apart(stored, self._fresh)
         child = self._register(node.items[1], node, source, dict(zip(owner.call_vars, tup)))
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
@@ -484,12 +479,9 @@ class TPEngine:
         if node.atom is None:
             # clauses resolve a fresh copy of the call, so the body's
             # bindings reach the caller only through the table
-            if tbl.key_ground:
-                node.atom = tbl.key
-            else:
-                copy: dict[Var, Var] = {}
-                node.atom = rename_apart(tbl.key, self._fresh, copy)
-                node.copy_vars = tuple(copy.values())
+            copy: dict[Var, Var] = {}
+            node.atom = rename_apart(tbl.key, self._fresh, copy)
+            node.copy_vars = tuple(copy.values())
 
         if node.anc == -1 and not self._ancestor_variant(node, rerun=False):
             node.anc = 0

@@ -7,17 +7,16 @@ derivation order and never removed; duplicates up to renaming are dropped.
 Each table also carries one status bit per defining clause (cleared when
 resolution proves a clause exhausted or cut away) and a completion flag.
 A ground subgoal or answer is its own canonical form and is kept as it
-comes, without a copy; the table marks its key and each answer ground or
-not, so the engine can use a ground one as its own renaming.
+comes, without a copy.
 
 A call is looked up as it stands, its arguments dereferenced through the
 engine's binding store, in one pass that builds a flat variant key: the
-functor, then per argument a constant's name (a ``str``) or a variable's
-first-occurrence number (an ``int``).  Such a tuple hashes and compares in
-C, so a hit builds no term.  The canonical key is built from the same pass
-only when a table is made, and ``tables`` keeps it, in creation order.  A
-call with a compound argument takes the general walk: ``apply``, then
-``canonicalize``.
+functor, then per argument a constant's name (a ``str``), a variable's
+first-occurrence number (an ``int``), or a compound's canonical form,
+resolved through the store and renamed on from the variables numbered so
+far.  Without a compound such a tuple hashes and compares in C, so a hit
+builds no term.  The canonical key is built from the same pass only when a
+table is made, and ``tables`` keeps it, in creation order.
 
 The store keeps two global memo counters: a boolean flag cleared at the
 start of every re-evaluation pass, and a monotone count of all answers
@@ -50,14 +49,11 @@ __all__ = ["Table", "TableStore"]
 class Table:
     """One memoized subgoal: answers, per-clause status bits, completion."""
 
-    __slots__ = ("key", "key_ground", "answers", "answer_ground", "clause_status", "comp",
-                 "_seen")
+    __slots__ = ("key", "answers", "clause_status", "comp", "_seen")
 
-    def __init__(self, key: Struct, n_clauses: int, key_ground: bool) -> None:
+    def __init__(self, key: Struct, n_clauses: int) -> None:
         self.key = key
-        self.key_ground = key_ground
         self.answers: list[tuple[Term, ...]] = []
-        self.answer_ground: list[bool] = []  # per answer, whether it is ground
         self.clause_status: list[int] = [1] * n_clauses
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
@@ -71,7 +67,7 @@ class TableStore:
 
     def __init__(self) -> None:
         self.tables: dict[Struct, Table] = {}
-        # the same tables, by the flat key of each whose call had no compound
+        # the same tables, by the flat variant key of their calls
         self._flat: dict[tuple, Table] = {}
         self.new_flag = False
         self.memo_count = 0
@@ -105,21 +101,17 @@ class TableStore:
                 key.append(a.name)
                 args.append(a)
             else:
-                # a compound argument: the general walk, which numbers the
-                # variables met so far as this pass did
-                subgoal = apply(subgoal, store)
-                canonical = canonicalize(subgoal, mapping)
-                t = self.tables.get(canonical)
-                if t is not None:
-                    return t, False
-                t = self.tables[canonical] = Table(canonical, n_clauses, canonical is subgoal)
-                return t, True
+                # a compound, resolved and renamed under the mapping so far,
+                # is its own part of the key
+                a = canonicalize(apply(a, store), mapping)
+                key.append(a)
+                args.append(a)
         flat = tuple(key)
         t = self._flat.get(flat)
         if t is not None:
             return t, False
         canonical = Struct(subgoal.functor, tuple(args))
-        t = self._flat[flat] = self.tables[canonical] = Table(canonical, n_clauses, not mapping)
+        t = self._flat[flat] = self.tables[canonical] = Table(canonical, n_clauses)
         return t, True
 
     def memo(self, table: Table, answer: tuple[Term, ...]) -> tuple[tuple[Term, ...], bool]:
@@ -129,8 +121,6 @@ class TableStore:
         if tup in table._seen:
             return tup, False
         table.answers.append(tup)
-        # a ground answer is its own canonical form
-        table.answer_ground.append(tup is answer)
         table._seen.add(tup)
         self.new_flag = True
         self.memo_count += 1

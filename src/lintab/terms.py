@@ -22,10 +22,16 @@ it is hashed and keeps it.  Two compounds are equal when they are the
 same object, or have the same functor and arity, do not both carry
 different hashes, and have equal arguments pairwise.
 
-No operation here recurses once per nesting level: hashing, equality,
-``apply``, renaming, ``unify`` and ``format_term`` walk on explicit
-stacks, so a term nested as deep as memory allows can be built, compared,
-printed and solved.
+A compound likewise works out whether it is ground the first time it is
+asked and keeps the answer, in a walk apart from the hash's, so a term
+that is only hashed pays nothing for it.  ``apply`` and the renaming walk
+hand a ground compound back whole without entering it, so neither walks a
+shared ground subterm as a tree.
+
+No operation here recurses once per nesting level: hashing, groundness,
+equality, ``apply``, renaming, ``unify``, ``format_term`` and ``repr``
+walk on explicit stacks, so a term nested as deep as memory allows can be
+built, compared, printed and solved.
 """
 
 from __future__ import annotations
@@ -98,15 +104,17 @@ class Const:
 class Struct:
     """A compound term; also used for atoms (0-ary ones have empty args).
 
-    The hash is computed the first time it is asked for and kept.
+    The hash and whether the term is ground are each computed the first
+    time they are asked for and kept.
     """
 
-    __slots__ = ("functor", "args", "_hash")
+    __slots__ = ("functor", "args", "_hash", "_ground")
 
     def __init__(self, functor: str, args: tuple["Term", ...] = ()) -> None:
         self.functor = functor
         self.args = args
         self._hash: int | None = None
+        self._ground: bool | None = None
 
     def __hash__(self) -> int:
         h = self._hash
@@ -127,7 +135,26 @@ class Struct:
         return _equal_args(self.args, other.args)
 
     def __repr__(self) -> str:
-        return f"Struct({self.functor!r}, {self.args!r})"
+        # pre-order on an explicit stack of terms and the punctuation between
+        # them, as format_term walks: Struct('f', (Const('a'),))
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif type(t) is not Struct:
+                out.append(repr(t))
+            else:
+                out.append(f"Struct({t.functor!r}, (")
+                args = t.args
+                stack.append(",))" if len(args) == 1 else "))")
+                for i in range(len(args) - 1, 0, -1):
+                    stack.append(args[i])
+                    stack.append(", ")
+                if args:
+                    stack.append(args[0])
+        return "".join(out)
 
 
 def _hash_struct(t: Struct) -> int:
@@ -153,6 +180,41 @@ def _hash_struct(t: Struct) -> int:
             if type(a) is Struct and a._hash is None and a.args:
                 stack.append((a, False))
     return t._hash
+
+
+def _ground_args(args: tuple) -> bool | None:
+    """Whether no variable occurs in ``args``, or None while one of them
+    is a compound whose groundness is not yet known."""
+    ground = True
+    for a in args:
+        if type(a) is Var:
+            ground = False
+        elif type(a) is Struct and a.args:
+            g = a._ground
+            if g is None:
+                return None
+            if not g:
+                ground = False
+    return ground
+
+
+def _ground_struct(t: Struct) -> bool:
+    """Compute and keep whether ``t`` is ground, and the same for every
+    compound under it not yet known, children first on an explicit stack,
+    so it never recurses."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        g = u._ground
+        if g is None:
+            g = _ground_args(u.args)
+            if g is None:
+                stack.extend([a for a in u.args
+                              if type(a) is Struct and a._ground is None and a.args])
+                continue
+            u._ground = g
+        stack.pop()
+    return t._ground
 
 
 def _equal_args(xs: tuple, ys: tuple) -> bool:
@@ -315,7 +377,8 @@ def _apply(t: Term, s: Subst) -> Term:
     being resolved and the resolved term once it is, so a variable shared
     by several arguments is resolved once; meeting a variable again while
     it is being resolved means its binding is cyclic.  A compound none of
-    whose arguments changed comes back as the same object.
+    whose arguments changed comes back as the same object, and a ground
+    one is not entered.
     """
     memo: dict[Var, Term | None] = {}
     # (compound or None for the top, its items, their values so far, the
@@ -342,7 +405,7 @@ def _apply(t: Term, s: Subst) -> Term:
                 else:
                     chain.append(a)
                 a = b
-            if not resolved and type(a) is Struct and a.args:
+            if not resolved and type(a) is Struct and a.args and not _ground(a):
                 stack.append((a, iter(a.args), [], chain))
                 break
             if chain is not None:
@@ -446,33 +509,29 @@ def unify(a: Term, b: Term, occurs_check: bool = False, s: Subst | None = None) 
 
 
 def _ground(x) -> bool:
-    """Whether no variable occurs in a term or tuple of items: a flat check
-    of the top level, walking only the compound terms."""
-    if type(x) is Struct:
-        x = x.args
-    elif type(x) is not tuple:
-        return type(x) is Const
-    for t in x:
-        if type(t) is Var:
-            return False
-        if type(t) is Struct:
-            stack = list(t.args)
-            while stack:
-                a = stack.pop()
-                if type(a) is Var:
+    """Whether no variable occurs in a term or tuple of items: a compound
+    answers from what it keeps, so only the top level of a tuple is walked."""
+    if type(x) is tuple:
+        for t in x:
+            if type(t) is Var:
+                return False
+            if type(t) is Struct:
+                g = t._ground
+                if not (_ground_struct(t) if g is None else g):
                     return False
-                if type(a) is Struct:
-                    stack.extend(a.args)
-    return True
+        return True
+    if type(x) is Struct:
+        g = x._ground
+        return _ground_struct(x) if g is None else g
+    return type(x) is Const
 
 
 def _rename(x, mapping: dict[Var, Var] | None, fresh: FreshVars | None):
-    """The one renaming walk: each variable of ``x`` is replaced by the
-    variable ``mapping`` gives it, or else by a new one from ``fresh`` (the
-    next canonical variable when ``fresh`` is None), recorded in
-    ``mapping``.  Other items pass through as they are."""
-    if _ground(x):
-        return x
+    """The one renaming walk over an ``x`` that is not ground: each
+    variable is replaced by the variable ``mapping`` gives it, or else by a
+    new one from ``fresh`` (the next canonical variable when ``fresh`` is
+    None), recorded in ``mapping``.  Other items, and ground compounds,
+    pass through as they are."""
     if mapping is None:
         mapping = {}
     if type(x) is Var:
@@ -500,7 +559,7 @@ def _rename(x, mapping: dict[Var, Var] | None, fresh: FreshVars | None):
                         c = fresh.new()
                     mapping[t] = c
                 out.append(c)
-            elif type(t) is Struct and t.args:
+            elif type(t) is Struct and t.args and not _ground(t):
                 stack.append((t.functor, iter(t.args), []))
                 break
             else:
@@ -540,7 +599,7 @@ def canonicalize(x, mapping: dict[Var, Var] | None = None):
     >>> format_term(canonicalize(Struct("p", (Var(7, "A"), Const("a"), Var(7, "A")))))
     'p(_0,a,_0)'
     """
-    return _rename(x, mapping, None)
+    return x if _ground(x) else _rename(x, mapping, None)
 
 
 def rename_apart(x, fresh: FreshVars, mapping: dict[Var, Var] | None = None):
@@ -551,4 +610,4 @@ def rename_apart(x, fresh: FreshVars, mapping: dict[Var, Var] | None = None):
     ground term or tuple is its own renaming: it comes back as the same
     object and draws no fresh variable.
     """
-    return _rename(x, mapping, fresh)
+    return x if _ground(x) else _rename(x, mapping, fresh)

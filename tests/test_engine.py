@@ -18,6 +18,8 @@ from lintab.terms import (
     FreshVars,
     Struct,
     Var,
+    _ground,
+    apply,
     canonicalize,
     format_term,
     format_tuple,
@@ -563,16 +565,12 @@ def test_non_ground_answers_get_fresh_variables_on_each_fetch():
 
 
 def test_ground_answers_and_keys_are_used_as_stored(monkeypatch):
-    renamed = []
-    rename = lintab.engine.rename_apart
-    monkeypatch.setattr(lintab.engine, "rename_apart",
-                        lambda x, *rest: renamed.append(x) or rename(x, *rest))
-    copies = []
+    copies = {}
     clause_child = TPEngine._clause_child
 
     def record(self, node):
         if node.table is not None:
-            copies.append((node.atom, node.table))
+            copies[format_term(node.table.key)] = node.atom
         return clause_child(self, node)
 
     monkeypatch.setattr(TPEngine, "_clause_child", record)
@@ -580,11 +578,11 @@ def test_ground_answers_and_keys_are_used_as_stored(monkeypatch):
     assert answers_of(r) == ["(f(b))", "(a)"]
     keyed = {format_term(t.key): t for t in r.engine.tables.tables.values()}
     assert list(keyed) == ["p(_0,b)", "p(a,b)"]
-    # the ground answers are bound as stored, and p(a,b) is its own copy
+    # the ground answers are bound as stored, p(a,b) is its own copy, and
+    # p(_0,b) is renamed apart
     assert [id(x[0]) for x in r.answers] == [id(y[0]) for y in keyed["p(_0,b)"].answers]
-    assert {id(atom) for atom, t in copies if t.key_ground} == {id(keyed["p(a,b)"].key)}
-    # only the non-ground key p(_0,b) was renamed
-    assert renamed == [keyed["p(_0,b)"].key]
+    assert copies["p(a,b)"] is keyed["p(a,b)"].key
+    assert format_term(copies["p(_0,b)"]) == "p(_G1,b)"
 
 
 def test_a_tabled_call_on_a_cyclic_binding_raises():
@@ -861,11 +859,12 @@ def test_function_symbol_programs_never_raise_recursion_error(shallow_recursion)
     under a recursion limit 100 frames above the test's depth: none may
     raise ``RecursionError``.
 
-    No seed is skipped.  A few of these programs nest ``g(T,T)`` in their
-    own answers, which then double in size with each answer, a separate
-    defect of walking such answers as trees, and at this budget they run
-    for seconds or minutes.  So each run stops after 0.2 s and counts as
-    stopped; the slice is not chosen around that growth.
+    No seed is skipped.  A few of these programs nest ``g(T,T)`` with a
+    variable in ``T`` in their own calls, which then double in size with
+    each call, a separate defect of renaming a shared term with a variable
+    in it as a tree, and at this budget they run for seconds or minutes.
+    So each run stops after 0.2 s and counts as stopped; the slice is not
+    chosen around that growth.
     """
     failed, stopped = [], 0
     old = signal.signal(signal.SIGALRM, _stop)
@@ -896,3 +895,63 @@ def test_function_symbol_programs_never_raise_recursion_error(shallow_recursion)
         signal.signal(signal.SIGALRM, old)
     assert failed == []
     assert stopped < 30
+
+
+# -- shared ground subterms -------------------------------------------------
+# A ground compound knows it is ground, so no walk enters it: answers that
+# share ground subterms grow in size as trees, not in the time they take.
+
+
+def capped(seconds, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or ``_Stopped`` once ``seconds`` have passed,
+    with the cyclic collector off meanwhile, as above.  The stop is returned,
+    not raised: its traceback would hold the term being walked, and a failure
+    report that printed that term would not end."""
+    old = signal.signal(signal.SIGALRM, _stop)
+    gc.collect()
+    gc.disable()
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            gc.enable()
+            signal.signal(signal.SIGALRM, old)
+    except _Stopped:
+        return _Stopped
+
+
+# its answers nest g(T,T), each twice the tree size of the one before
+DOUBLING = (":- table p/2.\np(b,f(a)).\np(f(b),b).\np(g(a,a),f(a)) :- p(a,a), p(a,g(b,b)).\n"
+            "p(b,b).\np(a,a) :- p(a,b), !.\np(a,f(a)).\np(b,a).\n"
+            "p(V,g(U,U)) :- !, p(b,V), p(a,U).\np(W,U) :- p(W,U).\np(g(a,a),b) :- !.\n"
+            "p(X,X) :- p(W,X).\np(f(b),a).\n")
+
+
+def test_answers_sharing_ground_subterms_reach_the_step_budget():
+    r = capped(2.0, tp_solve, DOUBLING, "p(X,Y)", step_budget=20_000)
+    assert r is not _Stopped
+    assert (r.status, r.engine._steps) == ("resource-limit", 20_001)
+
+
+def test_a_shared_ground_term_is_passed_through_whole():
+    # g(T,T) 200 levels deep: 2**200 leaves as a tree
+    t = Const("a")
+    for _ in range(200):
+        t = Struct("g", (t, t))
+    X = Var(0, "X")
+    call = Struct("p", (X, t))
+
+    def passed_through():
+        return [
+            _ground(t),
+            apply(t, {X: t}) is t,
+            apply(call, {X: t}).args == (t, t),
+            canonicalize(t) is t,
+            canonicalize(call).args[1] is t,
+            rename_apart(t, FreshVars()) is t,
+            rename_apart(call, FreshVars()).args[1] is t,
+        ]
+
+    assert capped(2.0, passed_through) == [True] * 7

@@ -8,6 +8,7 @@ from lintab.terms import (
     FreshVars,
     Struct,
     Var,
+    _ground,
     apply,
     apply_tuple,
     canonicalize,
@@ -320,6 +321,30 @@ def test_equality_is_structural_and_agrees_with_hashing(pair, hashed_t, hashed_u
         assert hash(t) == hash(u)
 
 
+def subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, Struct):
+            stack.extend(u.args)
+
+
+@given(mixed_terms, st.integers(min_value=0, max_value=3))
+def test_groundness_is_kept_and_agrees_with_vars_of(t, which):
+    # ask an argument first (``which`` 2), ``t`` itself (1), both or neither,
+    # so the walk meets every mix of known and unknown groundness below it
+    if which & 2 and isinstance(t, Struct):
+        for u in t.args:
+            _ground(u)
+    if which & 1:
+        _ground(t)
+    assert _ground(t) == (not vars_of(t))
+    for u in subterms(t):
+        if isinstance(u, Struct) and u._ground is not None:
+            assert u._ground == (not vars_of(u))
+
+
 def test_nested_compounds_that_differ_are_unequal():
     def f(*args):
         return Struct("f", args)
@@ -378,6 +403,20 @@ def test_a_deep_term_is_applied_renamed_and_printed():
     assert rename_apart((open_, Z), fresh) == (nest(Var(DEPTH)), Var(DEPTH + 1))
     assert vars_of(open_) == [Y] and max_var_id(open_) == 1
     assert unify(open_, t) == {Y: a}
+
+
+def test_a_deep_term_has_its_repr():
+    shallow = Struct("f", (Struct("g", (a, X)), Struct("h", ()), Struct("k", (b,))))
+    assert repr(shallow) == ("Struct('f', (Struct('g', (Const('a'), Var(0, 'X'))),"
+                             " Struct('h', ()), Struct('k', (Const('b'),))))")
+    assert repr(nest(a, 3)) == "Struct('s', (Struct('s', (Struct('s', (Const('a'),)),)),))"
+    # a RecursionError is kept as a value: pytest's report of one raised
+    # through frames that hold a deep term compares their locals pairwise
+    try:
+        deep = repr(nest(a))
+    except RecursionError as e:
+        deep = e
+    assert deep == "Struct('s', (" * DEPTH + "Const('a')" + ",))" * DEPTH
 
 
 def test_a_cyclic_binding_is_reported_through_the_variable_met_again():
