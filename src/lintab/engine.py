@@ -51,6 +51,28 @@ it in its goal list, nearest first: the frames its continuation has yet to
 return through.  The search sees through non-tabled calls, which plant
 none; it relies on ``parse_program`` tabling every predicate on a dependency
 cycle, so no variant of a call can sit above a non-tabled call on its path.
+A call that has just made its table has no ancestor variant, and skips the
+search.
+
+A tabled body goal is existential when it has a variable and none of its
+variables occurs in the clause's head or in another of its goals, as
+``p(Y)`` in ``q(X) :- p(Y), r(X)``; its cell is ``(goal, rest, 1)``.  The
+answer it takes binds nothing its continuation reads, so each answer
+repeats the continuation under the same bindings.  A repeat is skipped, and
+the goal's unconsumed answers count as consumed, when no answer has been
+memoized anywhere since the goal's last fetch, and the continuation reaches
+a pending memo-look before the end of the goal list whose owner has no
+unconsumed answer.  The repeat would then make the calls the last run made,
+against tables holding the answers they held then and no more open
+clauses, so it would find a part of what that run found: it would make no
+table, memoize only duplicates, clear only clause bits that run cleared and
+set only loop flags that run set, and each of its paths would end at that
+memo-look, in a duplicate and a fetch that finds nothing, not in an answer
+Prolog would show again.  A skipped repeat memoizes nothing and changes no
+table.  Without the memo-look the repeat would end in such an answer, and
+an unconsumed answer at the memo-look would go on to the rest of the goal
+list, so neither is skipped; nor is a non-tabled existential goal, whose
+later clauses may make new tables.
 
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
@@ -116,14 +138,16 @@ class CutItem:
 
 
 # a goal list is a chain of (item, rest) cells, None when empty; an item is
-# a call, a cut, or a tabled call's own node planted as its memo-look
+# a call, a cut, or a tabled call's own node planted as its memo-look; an
+# existential tabled goal's cell is (item, rest, 1)
 Goals = tuple | None
 
 
-def _push(items: Sequence, rest: Goals) -> Goals:
-    """The goal list of ``items`` followed by ``rest``, which is shared."""
-    for item in reversed(items):
-        rest = (item, rest)
+def _push(items: Sequence, rest: Goals, marked: tuple[int, ...] = ()) -> Goals:
+    """The goal list of ``items`` followed by ``rest``, which is shared; the
+    items at the positions in ``marked`` get marked cells."""
+    for k in range(len(items) - 1, -1, -1):
+        rest = (items[k], rest, 1) if k in marked else (items[k], rest)
     return rest
 
 
@@ -134,8 +158,9 @@ def _push(items: Sequence, rest: Goals) -> Goals:
 # is.  Resolution fills a register per slot: matching the head sets those of
 # the head, and building the body draws fresh variables for the rest.  A
 # clause without variables is its own template: no slots, its head's
-# arguments and its body as they are.
-Template = tuple[int, tuple, tuple]  # (slot count, head arguments, body)
+# arguments and its body as they are.  A template also keeps the positions
+# of its body's existential tabled goals.
+Template = tuple[int, tuple, tuple, tuple]  # (slot count, head arguments, body, marked)
 
 
 def _template(t: Term, slots: dict[Var, int]):
@@ -164,12 +189,39 @@ def _template(t: Term, slots: dict[Var, int]):
             stack[-1][2].append(tmpl)
 
 
-def _compile(head: Struct, body: tuple) -> Template:
-    """The template of a clause."""
+def _slots(t) -> set[int]:
+    """The slots a template term uses."""
+    used: set[int] = set()
+    stack = [t] if type(t) is tuple else []
+    while stack:
+        for a in stack.pop()[1]:
+            if type(a) is int:
+                used.add(a)
+            elif type(a) is tuple:
+                stack.append(a)
+    return used
+
+
+def _compile(head: Struct, body: tuple, tabled: frozenset[PredKey]) -> Template:
+    """The template of a clause, with the positions of the body goals of a
+    predicate in ``tabled`` that are existential: that have a slot, and
+    none of whose slots is the head's or another goal's."""
     slots: dict[Var, int] = {}
     head_t = tuple(_template(a, slots) for a in head.args)
-    body_t = tuple(b if type(b) is Cut else _template(b, slots) for b in body)
-    return len(slots), head_t, body_t
+    body_t = []
+    numbered = []  # (position, first, end) of the slots a tabled goal numbers
+    for k, b in enumerate(body):
+        first = len(slots)
+        body_t.append(b if type(b) is Cut else _template(b, slots))
+        if len(slots) > first and (b.functor, len(b.args)) in tabled:
+            numbered.append((k, first, len(slots)))
+    # no goal before a goal, nor the head, has a slot the goal numbers
+    marked = tuple(
+        k for k, first, end in numbered
+        if min(_slots(body_t[k])) >= first
+        and not any(first <= s < end for t in body_t[k + 1:] for s in _slots(t))
+    ) if numbered else ()
+    return len(slots), head_t, tuple(body_t), marked
 
 
 def _build(tmpl: tuple, regs: list, fresh: FreshVars) -> Struct:
@@ -271,6 +323,7 @@ class Node:
         "atom",
         "copy_vars",
         "mark",
+        "fetch_mark",
     )
 
     def __init__(self, id_: int, parent: "Node | None", items: Goals,
@@ -292,6 +345,7 @@ class Node:
         self.atom: Struct | None = None  # the call its clauses resolve, once known
         self.copy_vars: tuple[Var, ...] = ()  # a tabled call's copy's variables
         self.mark = mark  # trail length before the node's own bindings
+        self.fetch_mark = -1  # memo count at the node's last fetch as an owner
 
     def __repr__(self) -> str:
         return f"<Node {self.id} {self.origin_kind}>"
@@ -345,7 +399,7 @@ class TPEngine:
                 else:
                     open_.append(i)
                 if _ground((cl.head,) + cl.body):
-                    self._templates[id(cl)] = (0, args, cl.body)
+                    self._templates[id(cl)] = (0, args, cl.body, ())
             self._const_first[key] = by_const
             self._open_first[key] = open_
 
@@ -441,16 +495,34 @@ class TPEngine:
         tup, new = self.tables.memo(tbl, apply_tuple(origin.copy_vars, self._store))
         if self._sink is not None:
             self._sink(event("memo", table=tbl.key, tuple=tup, new=int(new), comp=int(tbl.comp)))
-        return self._fetch_for(node, origin, "lookup")
+        if origin.answer_ptr < len(tbl.answers) and not self._skips_repeats(origin):
+            return self._fetch_for(node, origin, "lookup")
+        return self._backtrack(node)
 
-    def _fetch_for(self, node: Node, owner: Node, source: str) -> Node | None:
-        """Consume the owner's next unconsumed answer, if any, and register
-        the continuation under ``node``."""
+    def _skips_repeats(self, owner: Node) -> bool:
+        """Whether a repeat of the owner's continuation can add nothing, as
+        the module docstring sets out; if so its unconsumed answers count
+        as consumed."""
+        if len(owner.items) == 2 or owner.fetch_mark != self.tables.memo_count:
+            return False
+        cell = owner.items[1]
+        while cell is not None:
+            item = cell[0]
+            if type(item) is Node:
+                if item.answer_ptr < len(item.table.answers):
+                    return False
+                owner.answer_ptr = len(owner.table.answers)
+                return True
+            cell = cell[1]
+        return False
+
+    def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
+        """Consume the owner's next unconsumed answer, which the caller has
+        checked there is, and register the continuation under ``node``."""
         tbl = owner.table
         pos = owner.answer_ptr
-        if pos >= len(tbl.answers):
-            return self._backtrack(node)
         owner.answer_ptr = pos + 1
+        owner.fetch_mark = self.tables.memo_count
         stored = tbl.answers[pos]
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
@@ -468,11 +540,13 @@ class TPEngine:
             if created:
                 clauses = self.program.by_predicate.get((atom.functor, len(atom.args)), ())
                 tbl.clause_status = [1] * len(clauses)
+                # no other call holds a table just made: no ancestor variant
+                node.anc = 0
             node.table = tbl
             node.call_vars = tuple(call_vars)
 
         # table first: consume answers before touching clauses
-        if node.answer_ptr < len(tbl.answers):
+        if node.answer_ptr < len(tbl.answers) and not self._skips_repeats(node):
             return self._fetch_for(node, node, "answer")
         if tbl.comp:
             return self._backtrack(node)
@@ -527,13 +601,14 @@ class TPEngine:
         path = [node]
         cell = node.items[1]
         while cell is not None:
-            item, cell = cell
+            item = cell[0]
             if type(item) is Node:
                 path.append(item)
                 if item.table is node.table:
                     path.reverse()
                     self._nodetype_update(path, item.clause_ptr, rerun)
                     return True
+            cell = cell[1]
         return False
 
     def _clause_child(self, node: Node) -> Node | None:
@@ -563,8 +638,8 @@ class TPEngine:
             cl = clauses[i]
             tmpl = self._templates.get(id(cl))
             if tmpl is None:
-                tmpl = self._templates[id(cl)] = _compile(cl.head, cl.body)
-            n_slots, head_t, body_t = tmpl
+                tmpl = self._templates[id(cl)] = _compile(cl.head, cl.body, self.program.tabled)
+            n_slots, head_t, body_t, marked = tmpl
             regs = [None] * n_slots
             theta = _match(head_t, args, regs, fresh, self.occurs_check)
             if theta is None:
@@ -574,7 +649,7 @@ class TPEngine:
             node.clause_ptr = i + 1
 
             rest = (node, node.items[1]) if tabled else node.items[1]
-            child = self._register(_push(body, rest), node, "clause", theta)
+            child = self._register(_push(body, rest, marked), node, "clause", theta)
             if self._sink is not None:
                 anc = {"anc": node.anc} if tabled else {}
                 self._expanded(child, clause=cl.label, ord=cl.ordinal, **anc)

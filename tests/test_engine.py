@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import lintab.engine
 from lintab.cli import EXIT_OK, main
-from lintab.engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine, tp_solve
-from lintab.oracle import generate_program, sld_solve
+from lintab.engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine, _compile, tp_solve
+from lintab.oracle import bottomup_solve, constants_of, generate_program, ground_expand, sld_solve
 from lintab.program import Program, parse_program, parse_query
 from lintab.terms import (
     Const,
@@ -955,3 +955,112 @@ def test_a_shared_ground_term_is_passed_through_whole():
         ]
 
     assert capped(2.0, passed_through) == [True] * 7
+
+
+# -- existential goals ---------------------------------------------------
+# A tabled body goal whose variables occur nowhere else in its clause feeds
+# its continuation the same bindings whatever answer it takes; a repeat that
+# can add nothing is skipped, with answers, their order and the tables as
+# they were.
+
+
+def test_existential_tabled_goals_are_marked_on_the_template():
+    clause = parse_program(
+        "h(X) :- p(X), q(Y,Y), p(Z), !, p(U), s(U), p(a), p(W), s(V), s(T), p(T), p(f(R)).\n"
+    ).clauses[0]
+    tabled = frozenset({("p", 1), ("q", 2)})
+    # p(X) has a head variable, p(U) shares U with a later goal and p(T)
+    # with an earlier one, p(a) has no variable, s(V) is not tabled;
+    # q(Y,Y) repeats Y only in itself, and p(f(R)) has R inside a compound
+    assert _compile(clause.head, clause.body, tabled)[3] == (1, 2, 7, 11)
+    assert _compile(clause.head, clause.body, frozenset())[3] == ()
+
+
+def fetched(result):
+    """Per node that fetched answers: its table's key and the positions it
+    fetched, in order."""
+    seen = {}
+    for e in result.engine.events:
+        if e.kind == "fetch":
+            seen.setdefault(e.get("node"), (e.get("table"), []))[1].append(e.get("pos"))
+    return seen
+
+
+def every_answer_fetched(result):
+    tables = result.engine.tables.tables
+    return all(positions == list(range(len(tables[key].answers)))
+               for key, positions in fetched(result).values())
+
+
+def never_skip(monkeypatch):
+    monkeypatch.setattr(TPEngine, "_skips_repeats", lambda self, owner: False)
+
+
+SKIPPED = (":- table p/1.\n:- table s/1.\np(a).\np(b).\np(c).\n"
+           "s(X) :- p(Y), p(W), r(X).\nr(d).\n")
+
+
+def test_a_repeat_that_can_add_nothing_is_skipped(monkeypatch):
+    r = tp_solve(SKIPPED, "s(X)")
+    assert (answers_of(r), r.engine._steps, every_answer_fetched(r)) == (["(d)"], 29, False)
+    assert_clean_trace(r)
+    never_skip(monkeypatch)
+    full = tp_solve(SKIPPED, "s(X)")
+    assert (answers_of(full), full.engine._steps, every_answer_fetched(full)) == (["(d)"], 51, True)
+    assert full.engine.tables.dump() == r.engine.tables.dump()
+
+
+def test_a_repeat_that_reaches_a_visible_answer_is_kept():
+    # without a memo-look behind p(Y), each repeat ends in an answer that
+    # Prolog shows again
+    r = tp_solve(":- table p/1.\np(a).\np(b).\nq(X) :- p(Y), r(X).\nr(c).\n", "p(Z), q(X)")
+    assert answers_of(r) == ["(a,c)", "(a,c)", "(b,c)", "(b,c)"]
+    assert (r.engine._steps, every_answer_fetched(r)) == (29, True)
+
+
+@pytest.mark.parametrize("src, query, steps", [
+    # each answer of p(Y) is memoized between two of its fetches
+    (":- table p/1.\n:- table s/1.\np(a).\np(b).\np(c).\ns(X) :- p(Y), r(X).\nr(d).\n",
+     "s(X)", 19),
+    # the continuation of p(Y) reaches the end of the goal list
+    (":- table p/1.\np(a).\np(b).\np(c).\nq(X) :- p(Y), r(X).\nr(d).\n", "p(Z), q(X)", 54),
+    # the memo-look behind p(Z) belongs to the query's p(X), which has not
+    # consumed p(X)'s third answer when p(Z) would repeat
+    (":- table p/1.\np(a) :- p(Z), p(a).\np(b).\np(X).\n", "p(X)", 36),
+], ids=["memoized-between-fetches", "no-memo-look", "unconsumed-answer"])
+def test_a_repeat_is_kept_unless_all_three_conditions_hold(monkeypatch, src, query, steps):
+    r = tp_solve(src, query)
+    assert (r.engine._steps, every_answer_fetched(r)) == (steps, True)
+    never_skip(monkeypatch)
+    full = tp_solve(src, query)
+    assert (answers_of(full), full.engine._steps) == (answers_of(r), steps)
+
+
+def test_existential_goals_cut_the_steps_of_a_cross_product():
+    # p(Z,b) :- p(V,U), p(a,W), p(Z,b): two existential goals whose answers
+    # the parent engine crossed in 100,751 steps
+    src, query = generate_program(random.Random(259))
+    program = parse_program(src)
+    atoms, _ = parse_query(query)
+    r = tp_solve(program, atoms)
+    assert (r.status, r.engine._steps) == ("complete", 1_759)
+    universe = constants_of(program, atoms)
+    assert ground_expand(r.answers, universe) == ground_expand(
+        bottomup_solve(program, atoms).answers, universe)
+
+
+def test_a_new_table_needs_no_ancestor_search(monkeypatch):
+    # every call makes a new table, so no call has an ancestor variant
+    calls = []
+    search = TPEngine._ancestor_variant
+
+    def count(self, node, rerun):
+        calls.append(node.id)
+        return search(self, node, rerun)
+
+    monkeypatch.setattr(TPEngine, "_ancestor_variant", count)
+    r = tp_solve(":- table p/1.\np(W) :- p(g(W,W)).\n", "p(a)", step_budget=300)
+    assert (r.status, len(r.engine.tables.tables), calls) == ("resource-limit", 300, [])
+    # a call of a table that exists still searches, and re-checks on exhaustion
+    tp_solve(":- table p/1.\np(X) :- p(X).\np(a).\n", "p(X)")
+    assert len(calls) == 4
