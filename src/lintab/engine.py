@@ -74,6 +74,24 @@ an unconsumed answer at the memo-look would go on to the rest of the goal
 list, so neither is skipped; nor is a non-tabled existential goal, whose
 later clauses may make new tables.
 
+A tabled call that was its clause body's last goal has its caller's
+memo-look at the head of its continuation, so each answer it takes costs
+two steps: the fetch registers a child that binds the call's variables to
+the answer, and the child's step is the memo-look, which memoizes what the
+owner's copy reads and fetches for the owner.  When the answer is ground,
+each of the owner's copy variables reads as one of the call's variables or
+a ground term, the tuple so read is already in the owner's table, and the
+owner has no unconsumed answer, the memo is a duplicate that changes no
+table, no flag and no count, and the memo-look has nothing to fetch, so
+the child backtracks to the call and pops its bindings.  The two steps
+then leave nothing behind but the call's cursor and fetch mark, a node
+number and the step count, and the call takes the answer in place: it
+moves these as the steps would, counts both against the budget and emits
+their events, but binds nothing and builds no node.  As nothing is bound
+or memoized meanwhile, the owner's reading of the copy stays what it was
+and the owner's table and cursor stay as they were, so the call goes on
+this way until an answer fails a condition; that one is fetched.
+
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
 clears the status bits of the untried clauses, unless a suspension flag
@@ -516,6 +534,72 @@ class TPEngine:
             cell = cell[1]
         return False
 
+    def _take_in_place(self, node: Node) -> bool:
+        """Take the node's unconsumed answers in place while each is a
+        duplicate that its memo-look would drop, as the module docstring
+        sets out; whether an answer is left for ``_fetch_for``."""
+        cell = node.items[1]
+        if cell is None or type(cell[0]) is not Node:
+            return True
+        owner = cell[0]
+        otbl = owner.table
+        if owner.answer_ptr < len(otbl.answers):
+            return True
+        # what the memo-look reads, per copy variable: the position of the
+        # call variable it reads as, or the ground term it reads as
+        store, call_vars = self._store, node.call_vars
+        proj = []
+        for v in owner.copy_vars:
+            while type(v) is Var:
+                b = store.get(v)
+                if b is None:
+                    break
+                v = b
+            if type(v) is Var:
+                for i, c in enumerate(call_vars):
+                    if c is v:
+                        proj.append(i)
+                        break
+                else:
+                    return True
+            elif _ground(v):
+                proj.append(v)
+            else:
+                return True
+        tbl, sink = node.table, self._sink
+        answers = tbl.answers
+        while True:
+            pos = node.answer_ptr
+            stored = answers[pos]
+            if not _ground(stored):
+                return True
+            tup = tuple([stored[p] if type(p) is int else p for p in proj])
+            if tup not in otbl:
+                return True
+            # the fetch step: its child is numbered, never built
+            node.answer_ptr = pos + 1
+            node.fetch_mark = self.tables.memo_count
+            child = self._next_id
+            self._next_id = child + 1
+            if sink is not None:
+                sink(event("fetch", node=node.id, table=tbl.key, tuple=stored, pos=pos))
+                sink(event("expand", node=child, parent=node.id, source="answer",
+                           tuple=stored, pos=pos))
+            # the child's step, the memo-look: a duplicate, with nothing for
+            # the owner to fetch, so the child backtracks to the node
+            self._steps += 1
+            if self._steps > self.step_budget:
+                raise StepBudgetExceeded(self._steps)
+            if sink is not None:
+                sink(event("memo", table=otbl.key, tuple=tup, new=0, comp=int(otbl.comp)))
+                sink(event("backtrack", node=child))
+            # the node's next step
+            self._steps += 1
+            if self._steps > self.step_budget:
+                raise StepBudgetExceeded(self._steps)
+            if node.answer_ptr == len(answers) or self._skips_repeats(node):
+                return False
+
     def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
         """Consume the owner's next unconsumed answer, which the caller has
         checked there is, and register the continuation under ``node``."""
@@ -546,7 +630,8 @@ class TPEngine:
             node.call_vars = tuple(call_vars)
 
         # table first: consume answers before touching clauses
-        if node.answer_ptr < len(tbl.answers) and not self._skips_repeats(node):
+        if (node.answer_ptr < len(tbl.answers) and not self._skips_repeats(node)
+                and self._take_in_place(node)):
             return self._fetch_for(node, node, "answer")
         if tbl.comp:
             return self._backtrack(node)

@@ -6,10 +6,9 @@ comments that run to the end of the line.  Names start with a lower-case
 letter, variables with a capital or ``_`` (``_`` alone is anonymous), and
 integers are constants.  A directive ``:- table p/2.`` forces tabling of a
 predicate; independently of directives, every predicate on a cycle of the
-predicate dependency graph (including self-loops) is tabled.  The control
-predicates ``memo_look`` and ``return`` are reserved for the engine and
-rejected in source.  There are no built-ins: an undefined predicate
-(``fail`` by convention) simply has an empty relation.
+predicate dependency graph (including self-loops) is tabled.  There are
+no built-ins: an undefined predicate (``fail`` by convention) simply has an
+empty relation.
 
 Parsing is one regex pass over the text into ``(kind, text, offset)``
 tokens, then a recursive-descent pass over the tokens that nests terms on
@@ -45,8 +44,6 @@ __all__ = [
 ]
 
 PredKey = tuple[str, int]
-
-RESERVED = ("memo_look", "return")
 
 
 class ParseError(Exception):
@@ -151,11 +148,9 @@ class _Parser:
         return _error(f"expected {want!r}, found {text or 'end of input'!r}", self.text, offset)
 
     def atom(self, i: int) -> tuple[Struct, int]:
-        kind, name, offset = self.tokens[i]
+        kind, name, _ = self.tokens[i]
         if kind != "name":
             raise self.expected("name", i)
-        if name in RESERVED:
-            raise _error(f"{name!r} is reserved for the engine", self.text, offset)
         if self.tokens[i + 1][1] == "(":
             return self.compound(name, i + 2)
         return Struct(name, ()), i + 1

@@ -58,6 +58,10 @@ class Table:
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
 
+    def __contains__(self, answer: tuple[Term, ...]) -> bool:
+        """Whether the table holds ``answer``, given in canonical form."""
+        return answer in self._seen
+
     def __repr__(self) -> str:
         return f"<Table {format_term(self.key)} answers={len(self.answers)} comp={int(self.comp)}>"
 

@@ -3,8 +3,9 @@
 When given a sink, the engine emits one event per observable step to it,
 as the step happens; without one it builds no event.  Kinds:
 
-- ``expand``: a node was registered (fields say which source: root, a
-  clause, a fetched answer, a memo-look fetch, or a cut).
+- ``expand``: a step made a node, or numbered one a step taken in place
+  never builds (fields say which source: root, a clause, a fetched answer,
+  a memo-look fetch, or a cut).
 - ``backtrack``: a node was popped.
 - ``memo``: an answer tuple reached a table (``new`` says whether it was
   kept, ``comp`` is the table's completion bit afterwards).

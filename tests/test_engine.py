@@ -1064,3 +1064,157 @@ def test_a_new_table_needs_no_ancestor_search(monkeypatch):
     # a call of a table that exists still searches, and re-checks on exhaustion
     tp_solve(":- table p/1.\np(X) :- p(X).\np(a).\n", "p(X)")
     assert len(calls) == 4
+
+
+# -- duplicates taken in place ----------------------------------------------
+# A tabled call that ends its clause body takes a ground answer in place
+# when its caller's table already holds what the memo-look would memoize and
+# the caller has nothing left to consume: the same steps, events, answers
+# and tables as fetching it, without a node.
+
+
+def never_in_place(monkeypatch):
+    monkeypatch.setattr(TPEngine, "_take_in_place", lambda self, node: True)
+
+
+def shown(src, query, options):
+    """All a run shows: how it ended, its raw answers, steps and tables, and
+    the count and sha256 of its formatted events; and how many answers it
+    took in place, its fetch events less the fetches that built a node."""
+    events = []
+    engine = TPEngine(parse_program(src), sink=events.append, **options)
+    built = []
+    fetch = engine._fetch_for
+
+    def count(node, owner, source):
+        built.append(source)
+        return fetch(node, owner, source)
+
+    engine._fetch_for = count
+    atoms, _ = parse_query(query)
+    answers, status = [], "complete"
+    try:
+        for tup in engine.solve(atoms):
+            answers.append(tup)
+    except StepBudgetExceeded:
+        status = "resource-limit"
+    except CyclicTermError as e:
+        status = str(e)
+    lines = [format_event(e) for e in events]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    taken = sum(e.kind == "fetch" for e in events) - len(built)
+    return (status, answers, engine._steps, engine.tables.dump(), len(lines), digest), taken
+
+
+def shown_both_ways(monkeypatch, runs, seconds=0):
+    """``shown`` of each ``(program, query, options)`` run with the path on,
+    then off, and how many answers the runs with it on took in place.  The
+    cyclic collector is off while a run is timed, as above; with
+    ``seconds``, a run stops after that long and shows as ``_Stopped``."""
+    def each(runs):
+        out = []
+        old = signal.signal(signal.SIGALRM, _stop)
+        gc.collect()
+        try:
+            for run in runs:
+                gc.disable()
+                signal.setitimer(signal.ITIMER_REAL, seconds)
+                try:
+                    try:
+                        out.append(shown(*run))
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                        gc.enable()
+                except _Stopped:
+                    out.append(_Stopped)
+        finally:
+            signal.signal(signal.SIGALRM, old)
+        return ([r if r is _Stopped else r[0] for r in out],
+                sum(r[1] for r in out if r is not _Stopped))
+
+    on, taken = each(runs)
+    with monkeypatch.context() as m:
+        never_in_place(m)
+        off, _ = each(runs)
+    return on, off, taken
+
+
+def taken_in_place(src, query):
+    return shown(src, query, {})[1]
+
+
+@pytest.mark.parametrize("name, query", GOLDEN_QUERIES)
+def test_goldens_show_the_same_run_with_the_path_off(monkeypatch, load, name, query):
+    on, off, _ = shown_both_ways(monkeypatch, [(load(name), query, {})])
+    assert on == off
+
+
+def test_graphs_show_the_same_run_with_the_path_off(monkeypatch):
+    runs = [(graph_program(n, rule, cycle), "reach(n0,Y)", {})
+            for n in range(3, 41)
+            for rule, cycle in (("reach(X,Y) :- reach(X,Z), edge(Z,Y).", False),
+                                ("reach(X,Y) :- edge(X,Z), reach(Z,Y).", True))]
+    on, off, taken = shown_both_ways(monkeypatch, runs)
+    assert on == off and taken > 0
+
+
+@pytest.mark.parametrize("options", [{}, {"strict_alg2": True}, {"occurs_check": True}],
+                         ids=["default", "strict_alg2", "occurs_check"])
+def test_sweep_variants_show_the_same_run_with_the_path_off(monkeypatch, options):
+    # every 10th sweep program, as it is and rewritten; a run whose terms
+    # grow too fast to reach the budget in time is left out on both sides
+    runs = []
+    for seed in range(0, 500, 10):
+        for rewrite in (lambda src, rng: src, with_cuts, with_functions, with_var_heads):
+            rng = random.Random(seed)
+            src, query = generate_program(rng)
+            runs.append((rewrite(src, rng), query, {"step_budget": 500, **options}))
+    on, off, taken = shown_both_ways(monkeypatch, runs, seconds=0.3)
+    both = [(a, b) for a, b in zip(on, off) if a is not _Stopped and b is not _Stopped]
+    assert [a for a, _ in both] == [b for _, b in both]
+    assert len(both) >= 190 and taken > 0
+
+
+def stopped_at(engine, atoms):
+    """The steps and tables of a run that hits its budget, and the method
+    the budget stops it in."""
+    try:
+        list(engine.solve(atoms))
+    except StepBudgetExceeded as e:
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        return e.steps, engine.tables.dump(), tb.tb_frame.f_code.co_name
+    raise AssertionError("the run did not hit its budget")
+
+
+def test_every_budget_stops_the_same_with_the_path_off(monkeypatch):
+    program = parse_program(graph_program(6, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True))
+    atoms, _ = parse_query("reach(n0,Y)")
+    steps = tp_solve(program, atoms).engine._steps
+
+    def stops(budget):
+        events = []
+        engine = TPEngine(program, step_budget=budget, sink=events.append)
+        return (*stopped_at(engine, atoms), [format_event(e) for e in events])
+
+    on = [stops(b) for b in range(1, steps)]
+    with monkeypatch.context() as m:
+        never_in_place(m)
+        off = [stops(b) for b in range(1, steps)]
+    assert [(n, dump, events) for n, dump, _, events in on] == \
+        [(n, dump, events) for n, dump, _, events in off]
+    # budgets that stop the run inside a batch of answers taken in place,
+    # at the memo-look's step and at the call's next
+    assert sum(where == "_take_in_place" for _, _, where, _ in on) >= 10
+    assert all(where != "_take_in_place" for _, _, where, _ in off)
+
+
+def test_answers_taken_in_place_are_pinned(load):
+    right = graph_program(20, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True)
+    left = graph_program(20, "reach(X,Y) :- reach(X,Z), edge(Z,Y).", False)
+    assert taken_in_place(right, "reach(n0,Y)") == 611
+    assert taken_in_place(left, "reach(n0,Y)") == 0
+    # so their pinned sha256s cover events of answers taken in place
+    assert taken_in_place(load("p2.pl"), "p(X,Y,Z)") == 4
+    assert taken_in_place(load("p3.pl"), "p(X,Y)") == 3

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lintab.engine import tp_solve
 from lintab.oracle import generate_program
 from lintab.program import (
     CUT,
@@ -13,7 +14,7 @@ from lintab.program import (
     parse_program,
     parse_query,
 )
-from lintab.terms import Const, Struct, Var
+from lintab.terms import Const, Struct, Var, format_tuple
 
 
 def test_parse_clauses_and_labels(load):
@@ -83,8 +84,6 @@ def test_anonymous_variables_are_distinct():
         ("p(a) :- q(a)", "expected '.'", 1, 13),
         ("P(a).", "expected 'name'", 1, 1),
         ("p(a,).", "expected a term", 1, 5),
-        ("memo_look(a).", "reserved", 1, 1),
-        ("p(a).\nq(a) :- return.", "reserved", 2, 9),
     ],
 )
 def test_parse_errors_carry_position(src, fragment, line, col):
@@ -94,6 +93,23 @@ def test_parse_errors_carry_position(src, fragment, line, col):
     assert exc.value.line == line
     assert exc.value.col == col
     assert f"(line {line}, column {col})" in str(exc.value)
+
+
+# the engine's memo-looks are nodes, not goals, so no name is kept from
+# programs: these parse and resolve as ordinary predicates
+@pytest.mark.parametrize(
+    "src, query, answers",
+    [
+        ("memo_look(a).", "memo_look(X)", ["(a)"]),
+        ("p(a).\nq(a) :- return.\nreturn.", "q(X)", ["(a)"]),
+        ("p :- q,\n  memo_look(a).\nq.\nmemo_look(a).", "p", ["()"]),
+        ("p(a).\np(b).\nreturn(b).", "p(X), return(X)", ["(b)"]),
+    ],
+    ids=["memo_look-fact", "return-in-body", "memo_look-in-body", "return-in-query"],
+)
+def test_engine_control_names_are_ordinary_predicates(src, query, answers):
+    result = tp_solve(src, query)
+    assert (result.status, [format_tuple(a) for a in result.answers]) == ("complete", answers)
 
 
 def test_comments_and_whitespace():
@@ -145,8 +161,6 @@ def _raises(parse, src):
         (":- table p/1", "expected '.', found 'end of input'", 1, 13),
         (":- table.", "expected 'name', found '.'", 1, 9),
         (":- Table p/1.", "expected 'name', found 'Table'", 1, 4),
-        # a reserved name in a body
-        ("p :- q,\n  memo_look(a).", "'memo_look' is reserved for the engine", 2, 3),
         # a missing '.'
         ("p(a)\nq(b).", "expected '.', found 'q'", 2, 1),
         ("p(a) :- q(a)\n", "expected '.', found 'end of input'", 2, 1),
@@ -171,7 +185,6 @@ def test_program_parse_error_sites(src, message, line, col):
         ("  % nothing", "expected 'name', found 'end of input'", 1, 12),
         ("p(X),", "expected 'name', found 'end of input'", 1, 6),
         ("p(X), .", "expected 'name', found '.'", 1, 7),
-        ("p(X), return(X)", "'return' is reserved for the engine", 1, 7),
         ("p(X) ; q(X)", "unexpected character ';'", 1, 6),
     ],
 )
