@@ -25,9 +25,10 @@ bindings (a clause head's unifier, or a fetched answer bound to the call's
 variables) go above that mark, and popping the node undoes them, so a cut
 that prunes back to its origin leaves the store as the origin had it.  A
 goal is resolved against the store once, when it is called; a memo-look
-reads the copy's variables through the store, and the end of the goal list
-reads the query's as an answer.  With the occurs check off, a cyclic
-binding raises ``CyclicTermError`` only once one of these reads it.
+reads the copy's variables through the store, resolving only those that
+read as compounds, and the end of the goal list reads the query's as an
+answer.  With the occurs check off, a cyclic binding raises
+``CyclicTermError`` only once one of these reads it.
 
 Every clause resolves through its template, one way, as a Prolog
 machine's head instructions do: resolution matches the call against the
@@ -89,8 +90,17 @@ number and the step count, and the call takes the answer in place: it
 moves these as the steps would, counts both against the budget and emits
 their events, but binds nothing and builds no node.  As nothing is bound
 or memoized meanwhile, the owner's reading of the copy stays what it was
-and the owner's table and cursor stay as they were, so the call goes on
-this way until an answer fails a condition; that one is fetched.
+and the owner's table and cursor stay as they were, so the conditions of
+every later answer can be read before any is taken.  The call therefore
+scans its unconsumed answers up to the first that fails a condition,
+which is fetched, and then accounts for the whole run at once: it moves
+the cursor past the run, takes one node number and two steps per answer,
+and emits each answer's four events if there is a sink.  A marked call
+takes one answer at most, as its repeats are skipped after that.  The
+run's steps are consecutive and nothing else happens between them, so a
+budget that runs out within the run stops it at the same step as taking
+the answers one by one would: at the answer whose step is over, counted
+as fetched, its memo-look's events left out if that step is the one over.
 
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
@@ -510,7 +520,18 @@ class TPEngine:
 
     def _memo_look(self, node: Node, origin: Node) -> Node | None:
         tbl = origin.table
-        tup, new = self.tables.memo(tbl, apply_tuple(origin.copy_vars, self._store))
+        # an unbound variable or a constant is read as it is; only what
+        # reads as a compound is resolved through the store
+        store, read = self._store, []
+        for v in origin.copy_vars:
+            t = v
+            while type(t) is Var:
+                b = store.get(t)
+                if b is None:
+                    break
+                t = b
+            read.append(apply(v, store) if type(t) is Struct else t)
+        tup, new = self.tables.memo(tbl, tuple(read))
         if self._sink is not None:
             self._sink(event("memo", table=tbl.key, tuple=tup, new=int(new), comp=int(tbl.comp)))
         if origin.answer_ptr < len(tbl.answers) and not self._skips_repeats(origin):
@@ -535,9 +556,9 @@ class TPEngine:
         return False
 
     def _take_in_place(self, node: Node) -> bool:
-        """Take the node's unconsumed answers in place while each is a
-        duplicate that its memo-look would drop, as the module docstring
-        sets out; whether an answer is left for ``_fetch_for``."""
+        """Take in place the run of the node's unconsumed answers that its
+        memo-look would drop, as the module docstring sets out; whether an
+        answer is left for ``_fetch_for``."""
         cell = node.items[1]
         if cell is None or type(cell[0]) is not Node:
             return True
@@ -566,39 +587,52 @@ class TPEngine:
                 proj.append(v)
             else:
                 return True
-        tbl, sink = node.table, self._sink
-        answers = tbl.answers
-        while True:
-            pos = node.answer_ptr
-            stored = answers[pos]
-            if not _ground(stored):
-                return True
-            tup = tuple([stored[p] if type(p) is int else p for p in proj])
-            if tup not in otbl:
-                return True
-            # the fetch step: its child is numbered, never built
-            node.answer_ptr = pos + 1
-            node.fetch_mark = self.tables.memo_count
-            child = self._next_id
-            self._next_id = child + 1
-            if sink is not None:
-                sink(event("fetch", node=node.id, table=tbl.key, tuple=stored, pos=pos))
+        # the run of answers the memo-look would drop; a marked call takes
+        # one, as its repeats are skipped after that.  A memo-look that reads
+        # the call's variables in order reads each answer as it is stored
+        answers, seen = node.table.answers, otbl._seen
+        as_stored = proj == list(range(len(call_vars)))
+        first = end = node.answer_ptr
+        limit = first + 1 if len(node.items) == 3 else len(answers)
+        while end < limit:
+            stored = answers[end]
+            if not _ground(stored) or (stored if as_stored else tuple(
+                    [stored[p] if type(p) is int else p for p in proj])) not in seen:
+                break
+            end += 1
+        if end == first:
+            return True
+        # two steps per answer: the child's memo-look, a duplicate with
+        # nothing for the owner to fetch, so the child backtracks, and the
+        # node's next; a budget that runs out within the run stops it there
+        steps, budget = self._steps, self.step_budget
+        over = steps + 2 * (end - first) > budget
+        if over:
+            end = first + (budget - steps) // 2 + 1
+        node.answer_ptr = end
+        node.fetch_mark = self.tables.memo_count
+        child = self._next_id
+        self._next_id = child + end - first
+        sink = self._sink
+        if sink is not None:
+            tkey, okey = node.table.key, otbl.key
+            for pos in range(first, end):
+                stored = answers[pos]
+                sink(event("fetch", node=node.id, table=tkey, tuple=stored, pos=pos))
                 sink(event("expand", node=child, parent=node.id, source="answer",
                            tuple=stored, pos=pos))
-            # the child's step, the memo-look: a duplicate, with nothing for
-            # the owner to fetch, so the child backtracks to the node
-            self._steps += 1
-            if self._steps > self.step_budget:
-                raise StepBudgetExceeded(self._steps)
-            if sink is not None:
-                sink(event("memo", table=otbl.key, tuple=tup, new=0, comp=int(otbl.comp)))
+                if over and pos == end - 1 and (budget - steps) % 2 == 0:
+                    break  # the memo-look's step is over budget
+                tup = stored if as_stored else tuple(
+                    [stored[p] if type(p) is int else p for p in proj])
+                sink(event("memo", table=okey, tuple=tup, new=0, comp=int(otbl.comp)))
                 sink(event("backtrack", node=child))
-            # the node's next step
-            self._steps += 1
-            if self._steps > self.step_budget:
-                raise StepBudgetExceeded(self._steps)
-            if node.answer_ptr == len(answers) or self._skips_repeats(node):
-                return False
+                child += 1
+        if over:
+            self._steps = budget + 1
+            raise StepBudgetExceeded(budget + 1)
+        self._steps = steps + 2 * (end - first)
+        return end < len(answers) and not self._skips_repeats(node)
 
     def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
         """Consume the owner's next unconsumed answer, which the caller has

@@ -23,7 +23,10 @@ start of every re-evaluation pass, and a monotone count of all answers
 ever memoized, which completion checks compare against a per-call
 snapshot.  A canonical answer covers every instance exactly when it is a
 tuple of distinct variables, so memoizing one completes the table at once;
-a ground subgoal's empty tuple is the degenerate case.
+a ground subgoal's empty tuple is the degenerate case, and the only ground
+answer that completes its table.  A table's answers are a list in
+derivation order and a set that the engine also reads, to tell whether a
+ground answer is already held.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .terms import (
     Term,
     Var,
     _canonical_var,
+    _ground,
+    _rename,
     apply,
     canonicalize,
     format_term,
@@ -57,10 +62,6 @@ class Table:
         self.clause_status: list[int] = [1] * n_clauses
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
-
-    def __contains__(self, answer: tuple[Term, ...]) -> bool:
-        """Whether the table holds ``answer``, given in canonical form."""
-        return answer in self._seen
 
     def __repr__(self) -> str:
         return f"<Table {format_term(self.key)} answers={len(self.answers)} comp={int(self.comp)}>"
@@ -120,15 +121,19 @@ class TableStore:
 
     def memo(self, table: Table, answer: tuple[Term, ...]) -> tuple[tuple[Term, ...], bool]:
         """Record an answer; returns its canonical form and whether it was
-        new (up to renaming)."""
-        tup = canonicalize(answer)
+        new (up to renaming).  A ground answer is its own canonical form and
+        is kept as it comes; it completes its table only when it is the
+        empty tuple of a ground subgoal."""
+        ground = _ground(answer)
+        tup = answer if ground else _rename(answer, None, None)
         if tup in table._seen:
             return tup, False
         table.answers.append(tup)
         table._seen.add(tup)
         self.new_flag = True
         self.memo_count += 1
-        if all(type(t) is Var for t in tup) and len(set(tup)) == len(tup):
+        if not tup or (not ground and all(type(t) is Var for t in tup)
+                       and len(set(tup)) == len(tup)):
             table.comp = True
         return tup, True
 

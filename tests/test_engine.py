@@ -1218,3 +1218,67 @@ def test_answers_taken_in_place_are_pinned(load):
     # so their pinned sha256s cover events of answers taken in place
     assert taken_in_place(load("p2.pl"), "p(X,Y,Z)") == 4
     assert taken_in_place(load("p3.pl"), "p(X,Y)") == 3
+
+
+MARKED_IN_PLACE = (":- table p/1.\n:- table q/1.\np(a).\np(b).\np(c).\n"
+                   "q(d) :- p(Y).\nq(d) :- p(Y).\n")
+
+
+def test_a_marked_call_takes_one_answer_in_place(monkeypatch):
+    # the second clause's p(Y) is marked: it takes (a) in place, as its
+    # memo-look would drop q's duplicate (d), and skips (b) and (c)
+    assert taken_in_place(MARKED_IN_PLACE, "q(X)") == 1
+    on, off, _ = shown_both_ways(monkeypatch, [(MARKED_IN_PLACE, "q(X)", {})])
+    assert on == off and on[0][2] == 17
+
+
+class _DumpAtEveryCheck(int):
+    """A step budget never reached, which keeps the tables' dump at each
+    check: a run with a budget of ``s - 1`` would stop at the check of step
+    ``s``, with its tables as they are then."""
+
+    def __lt__(self, steps):
+        self.dumps[steps - 1] = self.engine.tables.dump()
+        return False
+
+
+def test_untraced_runs_stop_as_traced_runs_at_every_budget(monkeypatch):
+    # without a sink the run of answers taken in place does its own step
+    # arithmetic, so at every budget it must stop where the traced run that
+    # takes one answer per step does
+    in_place = 0
+    for n in (6, 20):
+        program = parse_program(graph_program(n, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True))
+        atoms, _ = parse_query("reach(n0,Y)")
+        with monkeypatch.context() as m:
+            never_in_place(m)
+            traced = TPEngine(program, sink=[].append)
+            traced.step_budget = watch = _DumpAtEveryCheck(DEFAULT_STEP_BUDGET)
+            watch.engine, watch.dumps = traced, {}
+            list(traced.solve(atoms))
+        assert sorted(watch.dumps) == list(range(traced._steps))
+        for budget in range(1, traced._steps):
+            steps, dump, where = stopped_at(TPEngine(program, step_budget=budget), atoms)
+            assert (steps, dump) == (budget + 1, watch.dumps[budget])
+            in_place += where == "_take_in_place"
+    assert in_place >= 10
+
+
+def test_untraced_runs_end_with_the_traced_counts(monkeypatch, load):
+    # against the traced run that takes one answer per step, which numbers a
+    # node for each and counts its steps one by one
+    runs = [(load(name), query) for name, query in GOLDEN_QUERIES]
+    runs += [(graph_program(n, rule, cycle), "reach(n0,Y)")
+             for n in range(3, 41)
+             for rule, cycle in (("reach(X,Y) :- reach(X,Z), edge(Z,Y).", False),
+                                 ("reach(X,Y) :- edge(X,Z), reach(Z,Y).", True))]
+
+    def counts(src, query, sink):
+        engine = TPEngine(parse_program(src), sink=sink)
+        list(engine.solve(parse_query(query)[0]))
+        return engine._steps, engine._next_id
+
+    untraced = [counts(src, query, None) for src, query in runs]
+    with monkeypatch.context() as m:
+        never_in_place(m)
+        assert untraced == [counts(src, query, [].append) for src, query in runs]
