@@ -96,11 +96,10 @@ scans its unconsumed answers up to the first that fails a condition,
 which is fetched, and then accounts for the whole run at once: it moves
 the cursor past the run, takes one node number and two steps per answer,
 and emits each answer's four events if there is a sink.  A marked call
-takes one answer at most, as its repeats are skipped after that.  The
-run's steps are consecutive and nothing else happens between them, so a
-budget that runs out within the run stops it at the same step as taking
-the answers one by one would: at the answer whose step is over, counted
-as fetched, its memo-look's events left out if that step is the one over.
+takes one answer at most, as its repeats are skipped after that.  Only
+the answers whose two steps fit in the budget are taken; the next one is
+fetched as usual, so a budget that runs out stops the run in ``solve``, at
+the step where taking the answers one by one would.
 
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
@@ -217,39 +216,21 @@ def _template(t: Term, slots: dict[Var, int]):
             stack[-1][2].append(tmpl)
 
 
-def _slots(t) -> set[int]:
-    """The slots a template term uses."""
-    used: set[int] = set()
-    stack = [t] if type(t) is tuple else []
-    while stack:
-        for a in stack.pop()[1]:
-            if type(a) is int:
-                used.add(a)
-            elif type(a) is tuple:
-                stack.append(a)
-    return used
-
-
 def _compile(head: Struct, body: tuple, tabled: frozenset[PredKey]) -> Template:
     """The template of a clause, with the positions of the body goals of a
-    predicate in ``tabled`` that are existential: that have a slot, and
-    none of whose slots is the head's or another goal's."""
+    predicate in ``tabled`` that are existential: that have a variable, and
+    none of whose variables occurs in the head or in another goal."""
     slots: dict[Var, int] = {}
     head_t = tuple(_template(a, slots) for a in head.args)
-    body_t = []
-    numbered = []  # (position, first, end) of the slots a tabled goal numbers
-    for k, b in enumerate(body):
-        first = len(slots)
-        body_t.append(b if type(b) is Cut else _template(b, slots))
-        if len(slots) > first and (b.functor, len(b.args)) in tabled:
-            numbered.append((k, first, len(slots)))
-    # no goal before a goal, nor the head, has a slot the goal numbers
+    body_t = tuple(b if type(b) is Cut else _template(b, slots) for b in body)
+    # the head first, as most tabled goals share a variable with it
     marked = tuple(
-        k for k, first, end in numbered
-        if min(_slots(body_t[k])) >= first
-        and not any(first <= s < end for t in body_t[k + 1:] for s in _slots(t))
-    ) if numbered else ()
-    return len(slots), head_t, tuple(body_t), marked
+        k for k, b in enumerate(body)
+        if type(b) is not Cut and (b.functor, len(b.args)) in tabled
+        and (vs := set(vars_of(b)))
+        and vs.isdisjoint(vars_of(head)) and vs.isdisjoint(vars_of(body[:k] + body[k + 1:]))
+    )
+    return len(slots), head_t, body_t, marked
 
 
 def _build(tmpl: tuple, regs: list, fresh: FreshVars) -> Struct:
@@ -408,12 +389,11 @@ class TPEngine:
         self._next_id = 0
         self._fresh = FreshVars()
         # first-argument index, per predicate: the positions of the clauses
-        # whose first head argument is a given constant, and of those whose
-        # first head argument is not a constant (these match any constant)
+        # whose first head argument is not a constant, which match any
+        # constant, and per constant the positions of the clauses that can
+        # match it, these among them; a constant no head names gets these
         self._const_first: dict[PredKey, dict[str, list[int]]] = {}
         self._open_first: dict[PredKey, list[int]] = {}
-        # both merged, per (predicate, constant) called so far
-        self._candidates: dict[tuple[PredKey, str], list[int]] = {}
         # per clause, its template: a ground clause's is set here, and any
         # other's is compiled the first time the clause is tried
         self._templates: dict[int, Template] = {}
@@ -428,6 +408,9 @@ class TPEngine:
                     open_.append(i)
                 if _ground((cl.head,) + cl.body):
                     self._templates[id(cl)] = (0, args, cl.body, ())
+            if open_:
+                # two sorted runs: timsort merges them in linear time
+                by_const = {name: sorted(same + open_) for name, same in by_const.items()}
             self._const_first[key] = by_const
             self._open_first[key] = open_
 
@@ -459,18 +442,6 @@ class TPEngine:
             del store[trail.pop()]
         if self._sink is not None:
             self._sink(event("backtrack", node=node.id))
-
-    def _first_arg_candidates(self, key: PredKey, name: str) -> list[int]:
-        """Positions, in textual order, of the clauses of ``key`` whose
-        first head argument can match the constant ``name``."""
-        cands = self._candidates.get((key, name))
-        if cands is None:
-            same = self._const_first.get(key, {}).get(name, [])
-            open_ = self._open_first.get(key, [])
-            # two sorted runs: timsort merges them in linear time
-            cands = sorted(same + open_) if same and open_ else same or open_
-            self._candidates[(key, name)] = cands
-        return cands
 
     # -- resolution --------------------------------------------------
 
@@ -587,13 +558,15 @@ class TPEngine:
                 proj.append(v)
             else:
                 return True
-        # the run of answers the memo-look would drop; a marked call takes
-        # one, as its repeats are skipped after that.  A memo-look that reads
-        # the call's variables in order reads each answer as it is stored
+        # the run of answers the memo-look would drop, as far as their two
+        # steps each fit in the budget; a marked call takes one, as its
+        # repeats are skipped after that.  A memo-look that reads the call's
+        # variables in order reads each answer as it is stored
         answers, seen = node.table.answers, otbl._seen
         as_stored = proj == list(range(len(call_vars)))
         first = end = node.answer_ptr
-        limit = first + 1 if len(node.items) == 3 else len(answers)
+        limit = min(first + 1 if len(node.items) == 3 else len(answers),
+                    first + (self.step_budget - self._steps) // 2)
         while end < limit:
             stored = answers[end]
             if not _ground(stored) or (stored if as_stored else tuple(
@@ -604,13 +577,10 @@ class TPEngine:
             return True
         # two steps per answer: the child's memo-look, a duplicate with
         # nothing for the owner to fetch, so the child backtracks, and the
-        # node's next; a budget that runs out within the run stops it there
-        steps, budget = self._steps, self.step_budget
-        over = steps + 2 * (end - first) > budget
-        if over:
-            end = first + (budget - steps) // 2 + 1
+        # node's next
         node.answer_ptr = end
         node.fetch_mark = self.tables.memo_count
+        self._steps += 2 * (end - first)
         child = self._next_id
         self._next_id = child + end - first
         sink = self._sink
@@ -621,17 +591,11 @@ class TPEngine:
                 sink(event("fetch", node=node.id, table=tkey, tuple=stored, pos=pos))
                 sink(event("expand", node=child, parent=node.id, source="answer",
                            tuple=stored, pos=pos))
-                if over and pos == end - 1 and (budget - steps) % 2 == 0:
-                    break  # the memo-look's step is over budget
                 tup = stored if as_stored else tuple(
                     [stored[p] if type(p) is int else p for p in proj])
                 sink(event("memo", table=okey, tuple=tup, new=0, comp=int(otbl.comp)))
                 sink(event("backtrack", node=child))
                 child += 1
-        if over:
-            self._steps = budget + 1
-            raise StepBudgetExceeded(budget + 1)
-        self._steps = steps + 2 * (end - first)
         return end < len(answers) and not self._skips_repeats(node)
 
     def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
@@ -743,10 +707,10 @@ class TPEngine:
         # anc is -1, 0 or the clause j an ancestor variant is in; clauses at
         # positions below j have ordinals up to j, so a variant skips them
         start = max(node.clause_ptr, node.anc)
-        if args and type(args[0]) is Const:
+        if clauses and args and type(args[0]) is Const:
             # first-argument indexing: skip only clauses whose head the
             # matcher would reject, so the trace is the same
-            cands = self._first_arg_candidates(key, args[0].name)
+            cands = self._const_first[key].get(args[0].name, self._open_first[key])
             positions = islice(cands, bisect_left(cands, start), None)
         else:
             positions = range(start, len(clauses))

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from goldens import GOLDEN_QUERIES
 from lintab.engine import tp_solve
 from lintab.oracle import (
     bottomup_solve,
@@ -27,17 +28,6 @@ from lintab.trace import check_clause_skip, check_stack_discipline
 SWEEP_SEEDS = 500
 SWEEP_BUDGET = 10_000_000
 SWEEP_TIME_LIMIT = 120.0
-
-GOLDEN_QUERIES = (
-    ("p1.pl", "reach(a,X)"),
-    ("p2.pl", "p(X,Y,Z)"),
-    ("p3.pl", "p(X,Y)"),
-    ("p4.pl", "p(X,Y)"),
-    ("p5_1.pl", "not_p(a)"),
-    ("p5_2.pl", "not_p(a)"),
-    ("p5_3.pl", "not_p(a)"),
-    ("p6.pl", "p(X)"),
-)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldens import CUT_GOLDENS, GOLDEN_QUERIES
 import lintab.engine
 from lintab.cli import EXIT_OK, main
 from lintab.engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine, _compile, tp_solve
@@ -312,17 +313,6 @@ def test_graph_counts_are_pinned(rule, cycle, steps, events, answers):
 # Without a sink the engine builds no event; with one it streams exactly
 # the events tp_solve records.
 
-GOLDEN_QUERIES = (
-    ("p1.pl", "reach(a,X)"),
-    ("p2.pl", "p(X,Y,Z)"),
-    ("p3.pl", "p(X,Y)"),
-    ("p4.pl", "p(X,Y)"),
-    ("p5_1.pl", "not_p(a)"),
-    ("p5_2.pl", "not_p(a)"),
-    ("p5_3.pl", "not_p(a)"),
-    ("p6.pl", "p(X)"),
-)
-CUT_GOLDENS = GOLDEN_QUERIES[3:]  # p4 to p6 use cut
 GRAPHS = {
     "left-chain-50": graph_program(50, "reach(X,Y) :- reach(X,Z), edge(Z,Y).", False),
     "right-cycle-50": graph_program(50, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True),
@@ -442,6 +432,35 @@ def test_cut_programs_agree_with_sld_in_order():
         want = list(dict.fromkeys(canonicalize(a) for a in ref.answers))
         assert [canonicalize(a) for a in tp_solve(program, atoms).answers] == want, seed
     assert completed >= 200
+
+
+# -- the sweep, pinned ------------------------------------------------------
+# One sha256 over how each sweep run ends, its canonical answers in order and
+# its tables, plain and with cuts, by default and under strict_alg2: a change
+# to any answer, its order or a table shows here.  Steps and events are left
+# out, so a change that only saves steps re-pins nothing.
+
+SWEEP_DIGEST = "c04fc4ff4984b7d8cc9ee811813d1ecd51a2657da963bc370492272c765ea80c"
+
+
+def test_sweep_answers_and_tables_are_pinned():
+    # untraced, as the answers and tables do not depend on a sink
+    lines = []
+    for options in ({}, {"strict_alg2": True}):
+        for rewrite in (lambda src, rng: src, with_cuts):
+            for seed in range(500):
+                rng = random.Random(seed)
+                src, query = generate_program(rng)
+                engine = TPEngine(parse_program(rewrite(src, rng)), **options)
+                answers, status = [], "complete"
+                try:
+                    for tup in engine.solve(parse_query(query)[0]):
+                        answers.append(format_tuple(canonicalize(tup)))
+                except StepBudgetExceeded:
+                    status = "resource-limit"
+                lines.append(f"{status} {' '.join(answers)} {engine.tables.dump()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SWEEP_DIGEST
 
 
 def with_functions(src, rng):
@@ -1188,10 +1207,29 @@ def stopped_at(engine, atoms):
     raise AssertionError("the run did not hit its budget")
 
 
+def in_place_spans(program, atoms):
+    """The steps before and after each run of answers taken in place in an
+    unbounded run of ``atoms``."""
+    engine = TPEngine(program)
+    take, spans = engine._take_in_place, []
+
+    def record(node):
+        before = engine._steps
+        left = take(node)
+        if engine._steps > before:
+            spans.append((before, engine._steps))
+        return left
+
+    engine._take_in_place = record
+    list(engine.solve(atoms))
+    return spans
+
+
 def test_every_budget_stops_the_same_with_the_path_off(monkeypatch):
     program = parse_program(graph_program(6, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True))
     atoms, _ = parse_query("reach(n0,Y)")
     steps = tp_solve(program, atoms).engine._steps
+    spans = in_place_spans(program, atoms)
 
     def stops(budget):
         events = []
@@ -1204,10 +1242,12 @@ def test_every_budget_stops_the_same_with_the_path_off(monkeypatch):
         off = [stops(b) for b in range(1, steps)]
     assert [(n, dump, events) for n, dump, _, events in on] == \
         [(n, dump, events) for n, dump, _, events in off]
-    # budgets that stop the run inside a batch of answers taken in place,
-    # at the memo-look's step and at the call's next
-    assert sum(where == "_take_in_place" for _, _, where, _ in on) >= 10
-    assert all(where != "_take_in_place" for _, _, where, _ in off)
+    # budgets that run out inside a batch of answers taken in place, at the
+    # memo-look's step and at the call's next; every run stops in solve
+    inside = [b - before for b in range(1, steps) for before, after in spans
+              if before < b < after]
+    assert len(inside) >= 10 and {d % 2 for d in inside} == {0, 1}
+    assert all(where == "solve" for _, _, where, _ in on + off)
 
 
 def test_answers_taken_in_place_are_pinned(load):
@@ -1257,10 +1297,12 @@ def test_untraced_runs_stop_as_traced_runs_at_every_budget(monkeypatch):
             watch.engine, watch.dumps = traced, {}
             list(traced.solve(atoms))
         assert sorted(watch.dumps) == list(range(traced._steps))
+        spans = in_place_spans(program, atoms)
         for budget in range(1, traced._steps):
             steps, dump, where = stopped_at(TPEngine(program, step_budget=budget), atoms)
             assert (steps, dump) == (budget + 1, watch.dumps[budget])
-            in_place += where == "_take_in_place"
+            assert where == "solve"
+            in_place += any(before < budget < after for before, after in spans)
     assert in_place >= 10
 
 
