@@ -55,20 +55,18 @@ class RunConfig:
     interactive: bool = False
 
 
-def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
+def _query(program: Program, engine: TPEngine | None, cfg: RunConfig, text: str,
+           out, err, more) -> int:
     """Answer one query the way a Prolog top level does and return the exit
     code.  A query with no variables but ``_`` prints ``yes`` or ``no``;
     otherwise each answer is a binding line of its named variables, and
     ``more()`` decides after each one whether to go on (``no`` follows once
-    the answers run out)."""
-    engine = None
+    the answers run out).  ``engine`` is the session's tp engine, None with
+    another evaluator."""
     code = EXIT_OK
     try:
         atoms, qvars = parse_query(text)
-        if cfg.engine == "tp":
-            sink = (lambda ev: err.write(format_event(ev) + "\n")) if cfg.trace else None
-            engine = TPEngine(program, step_budget=cfg.step_budget, strict_alg2=cfg.strict_alg2,
-                              occurs_check=cfg.occurs_check, sink=sink)
+        if engine is not None:
             answers = engine.solve(atoms)
         elif cfg.engine == "sld":
             answers = sld_answers(program, atoms, cfg.depth_bound,
@@ -110,7 +108,7 @@ def _query(program: Program, cfg: RunConfig, text: str, out, err, more) -> int:
     return code
 
 
-def _repl(program: Program, cfg: RunConfig, stdin, out, err) -> int:
+def _repl(program: Program, engine: TPEngine | None, cfg: RunConfig, stdin, out, err) -> int:
     """Read queries from stdin; after each answer a lone ``;`` asks for the
     next one, anything else abandons the query."""
 
@@ -130,7 +128,7 @@ def _repl(program: Program, cfg: RunConfig, stdin, out, err) -> int:
             continue
         if text.rstrip(".") in ("halt", "quit"):
             return EXIT_OK
-        _query(program, cfg, text, out, err, more)
+        _query(program, engine, cfg, text, out, err, more)
 
 
 def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
@@ -147,11 +145,18 @@ def run(cfg: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     except ParseError as e:
         err.write(f"error: {cfg.program_path}: {e}\n")
         return EXIT_USAGE
+    # one engine for the session: each clause is compiled once, and each
+    # query starts from fresh tables
+    engine = None
+    if cfg.engine == "tp":
+        sink = (lambda ev: err.write(format_event(ev) + "\n")) if cfg.trace else None
+        engine = TPEngine(program, step_budget=cfg.step_budget, strict_alg2=cfg.strict_alg2,
+                          occurs_check=cfg.occurs_check, sink=sink)
     try:
         if cfg.interactive:
-            return _repl(program, cfg, inp, out, err)
+            return _repl(program, engine, cfg, inp, out, err)
         assert cfg.query is not None
-        return _query(program, cfg, cfg.query, out, err, more=lambda: True)
+        return _query(program, engine, cfg, cfg.query, out, err, more=lambda: True)
     except BrokenPipeError:
         # the reader of the answers went away (``| head -1``)
         return EXIT_USAGE

@@ -13,11 +13,12 @@ the caller's variables, and answers flow to the continuation only through
 the table.
 
 Self-dependent calls are handled by loop checking over ancestor lists: a
-call that is a variant of an ancestor call skips clauses up to the one the
-ancestor is currently using (guaranteeing no repeated derivation paths),
-and the outermost call of a loop re-evaluates its clauses until a pass adds
-no answer anywhere, then marks its table complete.  Clause status bits let
-exhausted or cut-away clauses drop out of later passes.
+call that is a variant of an ancestor call, a follower, skips clauses up to
+the one the ancestor is currently using (guaranteeing no repeated
+derivation paths), and the outermost call of a loop re-evaluates its
+clauses until a pass adds no answer anywhere, then marks its table
+complete.  Clause status bits let exhausted or cut-away clauses drop out of
+later passes.
 
 As in a Prolog machine, bindings live in one store and a trail undoes
 them.  Each node records the trail length when it is registered; its own
@@ -55,6 +56,21 @@ cycle, so no variant of a call can sit above a non-tabled call on its path.
 A call that has just made its table has no ancestor variant, and skips the
 search.
 
+A follower's search flags the path from its ancestor variant, the top,
+down to it once, before it tries a clause: every call below the top gets
+``loop`` and loses ``iter_``, the top gets ``loop`` (and ``iter_`` if it
+had no ``loop``), every call above the follower gets ``susp``, and the
+follower's ``anc`` is the top's in-use clause.  No flag so set changes
+before the follower runs out of clauses, so it does not search again:
+``loop`` is never cleared, and a ``loop`` call never gets ``iter_`` again;
+only the follower's own search sets its ``anc``; the top's in-use clause
+moves only once that clause is backtracked, which pops the follower
+first; and ``susp`` is cleared only by backtracking into a path call's
+clause child, or by a cut in its clause, and both pop the follower before
+it can run out, as backtracking that reaches the follower passes the
+executed cut, which prunes past it.  The goal list the search walks is
+shared and never changes, so it would find the same path again.
+
 A tabled body goal is existential when it has a variable and none of its
 variables occurs in the clause's head or in another of its goals, as
 ``p(Y)`` in ``q(X) :- p(Y), r(X)``; its cell is ``(goal, rest, 1)``.  The
@@ -86,20 +102,23 @@ owner has no unconsumed answer, the memo is a duplicate that changes no
 table, no flag and no count, and the memo-look has nothing to fetch, so
 the child backtracks to the call and pops its bindings.  The two steps
 then leave nothing behind but the call's cursor and fetch mark, a node
-number and the step count, and the call takes the answer in place: it
-moves these as the steps would, counts both against the budget and emits
-their events, but binds nothing and builds no node.  As nothing is bound
+number and the step count, and a run without a sink takes the answer in
+place: it moves these as the steps would and counts both against the
+budget, but binds nothing and builds no node.  As nothing is bound
 or memoized meanwhile, the owner's reading of the copy stays what it was
 and the owner's table and cursor stay as they were, so the conditions of
 every later answer can be read before any is taken.  The call therefore
 scans its unconsumed answers up to the first that fails a condition,
 which is fetched, and then accounts for the whole run at once: it moves
-the cursor past the run, takes one node number and two steps per answer,
-and emits each answer's four events if there is a sink.  A marked call
-takes one answer at most, as its repeats are skipped after that.  Only
-the answers whose two steps fit in the budget are taken; the next one is
-fetched as usual, so a budget that runs out stops the run in ``solve``, at
-the step where taking the answers one by one would.
+the cursor past the run and takes one node number and two steps per
+answer.  A marked call takes one answer at most, as its repeats are
+skipped after that.  Only the answers whose two steps fit in the budget
+are taken; the next one is fetched as usual, so a budget that runs out
+stops the run in ``solve``, at the step where taking the answers one by
+one would.  A traced run fetches every answer, so each event is emitted
+at the step it records and every ``expand`` is a node the engine built;
+it shows the same answers, tables and steps, and ends with the same node
+count, as the run without a sink.
 
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
@@ -528,8 +547,8 @@ class TPEngine:
 
     def _take_in_place(self, node: Node) -> bool:
         """Take in place the run of the node's unconsumed answers that its
-        memo-look would drop, as the module docstring sets out; whether an
-        answer is left for ``_fetch_for``."""
+        memo-look would drop, as the module docstring sets out, in a run
+        without a sink; whether an answer is left for ``_fetch_for``."""
         cell = node.items[1]
         if cell is None or type(cell[0]) is not Node:
             return True
@@ -575,27 +594,13 @@ class TPEngine:
             end += 1
         if end == first:
             return True
-        # two steps per answer: the child's memo-look, a duplicate with
-        # nothing for the owner to fetch, so the child backtracks, and the
-        # node's next
+        # per answer, two steps and the child's node number: the child's
+        # memo-look, a duplicate with nothing for the owner to fetch, so the
+        # child backtracks, and the node's next
         node.answer_ptr = end
         node.fetch_mark = self.tables.memo_count
         self._steps += 2 * (end - first)
-        child = self._next_id
-        self._next_id = child + end - first
-        sink = self._sink
-        if sink is not None:
-            tkey, okey = node.table.key, otbl.key
-            for pos in range(first, end):
-                stored = answers[pos]
-                sink(event("fetch", node=node.id, table=tkey, tuple=stored, pos=pos))
-                sink(event("expand", node=child, parent=node.id, source="answer",
-                           tuple=stored, pos=pos))
-                tup = stored if as_stored else tuple(
-                    [stored[p] if type(p) is int else p for p in proj])
-                sink(event("memo", table=okey, tuple=tup, new=0, comp=int(otbl.comp)))
-                sink(event("backtrack", node=child))
-                child += 1
+        self._next_id += end - first
         return end < len(answers) and not self._skips_repeats(node)
 
     def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
@@ -627,9 +632,10 @@ class TPEngine:
             node.table = tbl
             node.call_vars = tuple(call_vars)
 
-        # table first: consume answers before touching clauses
+        # table first: consume answers before touching clauses; a traced
+        # run fetches each, so each of its steps has its events
         if (node.answer_ptr < len(tbl.answers) and not self._skips_repeats(node)
-                and self._take_in_place(node)):
+                and (self._sink is not None or self._take_in_place(node))):
             return self._fetch_for(node, node, "answer")
         if tbl.comp:
             return self._backtrack(node)
@@ -640,7 +646,7 @@ class TPEngine:
             node.atom = rename_apart(tbl.key, self._fresh, copy)
             node.copy_vars = tuple(copy.values())
 
-        if node.anc == -1 and not self._ancestor_variant(node, rerun=False):
+        if node.anc == -1 and not self._ancestor_variant(node):
             node.anc = 0
 
         if node.anc == 0:
@@ -670,17 +676,13 @@ class TPEngine:
                     self._sink(event("iteration-start", node=node.id,
                                      iteration=node.iteration_pass))
         else:
+            # a follower: its first search set its loop flags for good
             child = self._clause_child(node)
-            if child is not None:
-                return child
-            # exhausted under an ancestor variant: re-check the loop flags,
-            # since intervening cuts may have reshaped the path
-            self._ancestor_variant(node, rerun=True)
-            return self._backtrack(node)
+            return child if child is not None else self._backtrack(node)
 
-    def _ancestor_variant(self, node: Node, rerun: bool) -> bool:
+    def _ancestor_variant(self, node: Node) -> bool:
         """Find the nearest ancestor call sharing the node's table and, if
-        there is one, reflag the loop path from it down to the node."""
+        there is one, flag the loop path from it down to the node."""
         path = [node]
         cell = node.items[1]
         while cell is not None:
@@ -689,7 +691,7 @@ class TPEngine:
                 path.append(item)
                 if item.table is node.table:
                     path.reverse()
-                    self._nodetype_update(path, item.clause_ptr, rerun)
+                    self._nodetype_update(path, item.clause_ptr)
                     return True
             cell = cell[1]
         return False
@@ -740,32 +742,24 @@ class TPEngine:
         node.clause_ptr = len(clauses)
         return None
 
-    def _nodetype_update(self, path: list[Node], j: int, rerun: bool) -> None:
-        """Reflag the calls on a freshly observed loop path.
-
-        ``path`` runs from the ancestor variant (top) down to the call that
-        spotted it (bottom); ``j`` is the clause the top is using.  Only the
-        outermost call of overlapping loops keeps the iteration duty.
+    def _nodetype_update(self, path: list[Node], j: int) -> None:
+        """Flag the calls on a loop path, once, as the module docstring
+        sets out.  ``path`` runs from the ancestor variant (top) down to the
+        call that spotted it (bottom); ``j`` is the clause the top is using.
+        Only the outermost call of overlapping loops keeps the iteration
+        duty.  The event's ``rerun`` is always 0, so traces read as before.
         """
         top, bottom = path[0], path[-1]
-        changed = False
         for n in path[1:]:
-            if not n.loop or n.iter_:
-                changed = True
             n.loop, n.iter_ = 1, 0
         if not top.loop:
             top.loop = top.iter_ = 1
-            changed = True
-        if bottom.anc != j:
-            bottom.anc = j
-            changed = True
+        bottom.anc = j
         for n in path[:-1]:
-            if not n.susp:
-                changed = True
             n.susp = 1
-        if (not rerun or changed) and self._sink is not None:
+        if self._sink is not None:
             self._sink(event("loop-detected", node=bottom.id, top=top.id, clause=j,
-                             path=tuple(n.id for n in path), rerun=int(rerun)))
+                             path=tuple(n.id for n in path), rerun=0))
 
     def _backtrack(self, node: Node) -> Node | None:
         while True:

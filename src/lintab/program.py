@@ -305,14 +305,12 @@ def parse_query(text: str) -> tuple[tuple[Struct, ...], list[Var]]:
 
 def dependency_graph(program: Program) -> dict[PredKey, frozenset[PredKey]]:
     """Edges from each head predicate to the predicates its bodies call."""
-    keys: set[PredKey] = set(program.by_predicate)
-    edges: dict[PredKey, set[PredKey]] = {k: set() for k in keys}
+    edges: dict[PredKey, set[PredKey]] = {k: set() for k in program.by_predicate}
     for c in program.clauses:
         for b in c.body:
             if isinstance(b, Cut):
                 continue
             callee = (b.functor, len(b.args))
-            keys.add(callee)
             edges.setdefault(callee, set())
             edges[c.pred].add(callee)
     return {k: frozenset(v) for k, v in edges.items()}

@@ -3,15 +3,15 @@
 When given a sink, the engine emits one event per observable step to it,
 as the step happens; without one it builds no event.  Kinds:
 
-- ``expand``: a step made a node, or numbered one a step taken in place
-  never builds (fields say which source: root, a clause, a fetched answer,
-  a memo-look fetch, or a cut).
+- ``expand``: a step made a node (fields say which source: root, a
+  clause, a fetched answer, a memo-look fetch, or a cut).
 - ``backtrack``: a node was popped.
 - ``memo``: an answer tuple reached a table (``new`` says whether it was
   kept, ``comp`` is the table's completion bit afterwards).
 - ``fetch``: a cursor consumed an answer.
-- ``loop-detected``: an ancestor variant was found; ``rerun=1`` marks a
-  re-check after clause exhaustion that changed some flag.
+- ``loop-detected``: an ancestor variant was found.  ``rerun`` is always
+  0, as a follower's flags are set once; the field keeps traces as they
+  read before.
 - ``iteration-start`` / ``iteration-end``: a top loop node began another
   evaluation pass or proved a pass produced nothing new and completed.
 - ``answer``: a top-level answer was emitted.
@@ -79,9 +79,10 @@ def format_event(ev: TraceEvent) -> str:
     return " ".join(parts)
 
 
-def check_stack_discipline(events, require_empty: bool = True) -> list[str]:
-    """Verify that expansions only ever grow the tip of the derivation and
-    backtracking only ever pops it.  Returns human-readable violations."""
+def check_stack_discipline(events) -> list[str]:
+    """Verify that expansions only ever grow the tip of the derivation,
+    backtracking only ever pops it, and the run ends with no node active.
+    Returns human-readable violations."""
     errors: list[str] = []
     stack: list[int] = []
     for i, ev in enumerate(events):
@@ -107,7 +108,7 @@ def check_stack_discipline(events, require_empty: bool = True) -> list[str]:
                 stack.pop()
             else:
                 stack.pop()
-    if require_empty and stack:
+    if stack:
         errors.append(f"run ended with {len(stack)} nodes still active: {stack}")
     return errors
 

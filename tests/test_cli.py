@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import lintab.cli
 from lintab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, RunConfig, main, run
 
 
@@ -256,6 +257,31 @@ def test_interactive_transcript_matches_the_query_run(program_path, engine):
                                  depth_bound=50)
     assert transcript.replace("?- ", "") == out
     assert err == ierr == ""
+
+
+def test_one_engine_answers_every_query_of_a_session(monkeypatch, program_path):
+    # its clauses are compiled once, and each query reads as a run of its own
+    path = program_path("p1.pl")
+    queries = ["reach(a,X)", "reach(e,e)", "reach(b,X)"]
+    alone = [invoke(path, q, dump_tables=True, trace=True) for q in queries]
+    built = []
+    engine = lintab.cli.TPEngine
+    monkeypatch.setattr(lintab.cli, "TPEngine", lambda *a, **kw: built.append(1) or engine(*a, **kw))
+    # a ';' after each binding line asks for the next answer
+    stdin = "".join(q + ".\n" + ";\n" * o.count(" = ") for q, (_, o, _) in zip(queries, alone))
+    code, out, err = invoke(path, stdin=stdin + "halt.\n", interactive=True, dump_tables=True,
+                            trace=True)
+    assert (code, len(built)) == (EXIT_OK, 1)
+    assert out.replace("?- ", "") == "".join(o for _, o, _ in alone)
+    assert err == "".join(e for _, _, e in alone)
+
+
+def test_a_query_that_fails_to_parse_dumps_no_tables(program_path):
+    stdin = "reach(a,X).\n" + ";\n" * 4 + "reach(a\nhalt.\n"
+    code, out, err = invoke(program_path("p1.pl"), stdin=stdin, interactive=True,
+                            dump_tables=True)
+    assert code == EXIT_OK and err.startswith("error: query: ")
+    assert out.count("TB(") == 1 and out.endswith("comp=1\n?- ?- ")
 
 
 def test_bad_query_reads_the_same_in_both_modes(program_path):
