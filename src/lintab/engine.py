@@ -468,6 +468,8 @@ class TPEngine:
         """Derivation as a generator of answer tuples over the query's
         distinct variables (first-occurrence order)."""
         self.tables = TableStore()
+        # the memo count when the latest pass began
+        self._pass_start = 0
         self._store = {}
         self._trail = []
         self._steps = 0
@@ -623,7 +625,7 @@ class TPEngine:
         tbl = node.table
         if tbl is None:
             call_vars: dict[Var, Var] = {}
-            tbl, created = self.tables.get_or_create(atom, 0, call_vars, self._store)
+            tbl, created = self.tables.get_or_create(atom, call_vars, self._store)
             if created:
                 clauses = self.program.by_predicate.get((atom.functor, len(atom.args)), ())
                 tbl.clause_status = [1] * len(clauses)
@@ -664,11 +666,11 @@ class TPEngine:
                     if self._sink is not None:
                         self._sink(event("iteration-end", node=node.id,
                                          iteration=node.iteration_pass,
-                                         new=int(self.tables.new_flag), comp=1))
+                                         new=int(self.tables.memo_count != self._pass_start),
+                                         comp=1))
                     return self._backtrack(node)
                 # the pass added answers somewhere: evaluate another pass
-                self.tables.new_flag = False
-                node.pass_mark = self.tables.memo_count
+                node.pass_mark = self._pass_start = self.tables.memo_count
                 node.iteration_pass += 1
                 status = tbl.clause_status
                 node.clause_ptr = next((i for i, bit in enumerate(status) if bit), len(status))
@@ -809,10 +811,6 @@ class SolveResult:
     answers: list[tuple[Term, ...]]
     status: str  # "complete" | "resource-limit"
     engine: TPEngine
-
-    @property
-    def answer_set(self) -> frozenset:
-        return frozenset(canonicalize(a) for a in self.answers)
 
 
 def tp_solve(

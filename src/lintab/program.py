@@ -85,7 +85,6 @@ class Clause:
 class Program:
     clauses: tuple[Clause, ...]
     by_predicate: dict[PredKey, tuple[Clause, ...]]
-    declared_tabled: frozenset[PredKey]
     tabled: frozenset[PredKey]
 
 
@@ -274,9 +273,8 @@ def parse_program(text: str) -> Program:
         clauses.append(c)
     by_pred = {key: tuple(cs) for key, cs in grouped.items()}
 
-    prog = Program(tuple(clauses), by_pred, frozenset(declared), frozenset())
-    tabled = classify_tabled(prog) | frozenset(declared)
-    return Program(prog.clauses, prog.by_predicate, prog.declared_tabled, tabled)
+    prog = Program(tuple(clauses), by_pred, frozenset())
+    return Program(prog.clauses, by_pred, classify_tabled(prog) | declared)
 
 
 def parse_query(text: str) -> tuple[tuple[Struct, ...], list[Var]]:

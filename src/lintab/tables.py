@@ -4,10 +4,10 @@ A table is keyed by the canonical form of its subgoal, so all variants of
 a call share one table.  Answers are stored canonically as tuples over the
 subgoal's distinct variables (first-occurrence order), appended in
 derivation order and never removed; duplicates up to renaming are dropped.
-Each table also carries one status bit per defining clause (cleared when
-resolution proves a clause exhausted or cut away) and a completion flag.
-A ground subgoal or answer is its own canonical form and is kept as it
-comes, without a copy.
+Each table also carries one status bit per defining clause, which the
+engine sets when it makes the table and clears when resolution proves a
+clause exhausted or cut away, and a completion flag.  A ground subgoal or
+answer is its own canonical form and is kept as it comes, without a copy.
 
 A call is looked up as it stands, its arguments dereferenced through the
 engine's binding store, in one pass that builds a flat variant key: the
@@ -15,18 +15,19 @@ functor, then per argument a constant's name (a ``str``), a variable's
 first-occurrence number (an ``int``), or a compound's canonical form,
 resolved through the store and renamed on from the variables numbered so
 far.  Without a compound such a tuple hashes and compares in C, so a hit
-builds no term.  The canonical key is built from the same pass only when a
-table is made, and ``tables`` keeps it, in creation order.
+builds no term.  ``tables`` is the one index: it maps these flat keys to
+the tables, in creation order.  The canonical key is built from the same
+pass only when a table is made, and the table keeps it.
 
-The store keeps two global memo counters: a boolean flag cleared at the
-start of every re-evaluation pass, and a monotone count of all answers
-ever memoized, which completion checks compare against a per-call
-snapshot.  A canonical answer covers every instance exactly when it is a
-tuple of distinct variables, so memoizing one completes the table at once;
-a ground subgoal's empty tuple is the degenerate case, and the only ground
-answer that completes its table.  A table's answers are a list in
-derivation order and a set that the engine also reads, to tell whether a
-ground answer is already held.
+The store keeps one memo counter, a monotone count of all answers ever
+memoized, which the engine compares against snapshots to tell whether a
+pass, or the time since a fetch, added an answer anywhere.  A canonical
+answer covers every instance exactly when it is a tuple of distinct
+variables, so memoizing one completes the table at once; a ground
+subgoal's empty tuple is the degenerate case, and the only ground answer
+that completes its table.  A table's answers are a list in derivation
+order and a set that the engine also reads, to tell whether a ground
+answer is already held.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ class Table:
 
     __slots__ = ("key", "answers", "clause_status", "comp", "_seen")
 
-    def __init__(self, key: Struct, n_clauses: int) -> None:
+    def __init__(self, key: Struct) -> None:
         self.key = key
         self.answers: list[tuple[Term, ...]] = []
-        self.clause_status: list[int] = [1] * n_clauses
+        self.clause_status: list[int] = []
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
 
@@ -71,23 +72,15 @@ class TableStore:
     """All tables of one top-level evaluation, in creation order."""
 
     def __init__(self) -> None:
-        self.tables: dict[Struct, Table] = {}
-        # the same tables, by the flat variant key of their calls
-        self._flat: dict[tuple, Table] = {}
-        self.new_flag = False
+        # by the flat variant key of their calls
+        self.tables: dict[tuple, Table] = {}
         self.memo_count = 0
 
-    def get_or_create(self, subgoal: Struct, n_clauses: int,
-                      mapping: dict[Var, Var] | None = None,
-                      store: Subst | None = None) -> tuple[Table, bool]:
+    def get_or_create(self, subgoal: Struct, mapping: dict[Var, Var],
+                      store: Subst) -> tuple[Table, bool]:
         """The table of ``subgoal`` under the bindings in ``store`` and
-        whether it was just made.  ``mapping``, when given, receives the
-        call's variables in first-occurrence order, as ``canonicalize``
-        fills it."""
-        if mapping is None:
-            mapping = {}
-        if store is None:
-            store = {}
+        whether it was just made.  ``mapping`` receives the call's
+        variables in first-occurrence order, as ``canonicalize`` fills it."""
         key = [subgoal.functor]
         args = []
         for a in subgoal.args:
@@ -112,11 +105,10 @@ class TableStore:
                 key.append(a)
                 args.append(a)
         flat = tuple(key)
-        t = self._flat.get(flat)
+        t = self.tables.get(flat)
         if t is not None:
             return t, False
-        canonical = Struct(subgoal.functor, tuple(args))
-        t = self._flat[flat] = self.tables[canonical] = Table(canonical, n_clauses)
+        t = self.tables[flat] = Table(Struct(subgoal.functor, tuple(args)))
         return t, True
 
     def memo(self, table: Table, answer: tuple[Term, ...]) -> tuple[tuple[Term, ...], bool]:
@@ -130,7 +122,6 @@ class TableStore:
             return tup, False
         table.answers.append(tup)
         table._seen.add(tup)
-        self.new_flag = True
         self.memo_count += 1
         if not tup or (not ground and all(type(t) is Var for t in tup)
                        and len(set(tup)) == len(tup)):

@@ -1,4 +1,4 @@
-"""Structured trace events and consistency checkers.
+"""Structured trace events and their one-line format.
 
 When given a sink, the engine emits one event per observable step to it,
 as the step happens; without one it builds no event.  Kinds:
@@ -13,11 +13,16 @@ as the step happens; without one it builds no event.  Kinds:
   0, as a follower's flags are set once; the field keeps traces as they
   read before.
 - ``iteration-start`` / ``iteration-end``: a top loop node began another
-  evaluation pass or proved a pass produced nothing new and completed.
+  evaluation pass or proved a pass produced nothing new and completed
+  (``new`` says whether any table gained an answer since the run's
+  latest ``iteration-start``, or since the run began if it had none).
 - ``answer``: a top-level answer was emitted.
 
 Events hold raw values; ``format_event`` renders one per line, e.g.
 ``EVENT kind=expand node=4 parent=3 source=clause clause=reach1``.
+The checks that a trace keeps the stack discipline and skips the clauses
+an ancestor variant has in use live with the tests, in
+``tests/tracecheck.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ __all__ = [
     "TraceEvent",
     "event",
     "format_event",
-    "check_stack_discipline",
-    "check_clause_skip",
 ]
 
 KINDS = (
@@ -77,53 +80,3 @@ def format_event(ev: TraceEvent) -> str:
     parts = [f"EVENT kind={ev.kind}"]
     parts += [f"{k}={_fmt(v)}" for k, v in ev.fields]
     return " ".join(parts)
-
-
-def check_stack_discipline(events) -> list[str]:
-    """Verify that expansions only ever grow the tip of the derivation,
-    backtracking only ever pops it, and the run ends with no node active.
-    Returns human-readable violations."""
-    errors: list[str] = []
-    stack: list[int] = []
-    for i, ev in enumerate(events):
-        if ev.kind == "expand":
-            parent = ev.get("parent")
-            if stack:
-                if parent != stack[-1]:
-                    errors.append(
-                        f"event {i}: expand of node {ev.get('node')} under parent"
-                        f" {parent} but the active node is {stack[-1]}"
-                    )
-            elif parent is not None:
-                errors.append(f"event {i}: first expand must be a root, got parent {parent}")
-            stack.append(ev.get("node"))
-        elif ev.kind == "backtrack":
-            node = ev.get("node")
-            if not stack:
-                errors.append(f"event {i}: backtrack of node {node} on an empty stack")
-            elif stack[-1] != node:
-                errors.append(
-                    f"event {i}: backtrack of node {node} but the active node is {stack[-1]}"
-                )
-                stack.pop()
-            else:
-                stack.pop()
-    if stack:
-        errors.append(f"run ended with {len(stack)} nodes still active: {stack}")
-    return errors
-
-
-def check_clause_skip(events) -> list[str]:
-    """Verify no expansion under a known ancestor variant reuses a clause at
-    or before the ancestor's in-use ordinal."""
-    errors: list[str] = []
-    for i, ev in enumerate(events):
-        if ev.kind != "expand" or ev.get("source") != "clause":
-            continue
-        anc = ev.get("anc")
-        ord_ = ev.get("ord")
-        if isinstance(anc, int) and anc > 0 and ord_ is not None and ord_ <= anc:
-            errors.append(
-                f"event {i}: clause ordinal {ord_} used under ancestor clause {anc}"
-            )
-    return errors

@@ -1,0 +1,228 @@
+"""Run the sweep grid on two source trees and report every run that differs.
+
+Usage::
+
+    python tests/differential.py OLD_TREE NEW_TREE [--seeds A-B]
+
+Each run is a ``generate_program`` seed (0-499 by default), as generated or
+through one of the rewrites in ``rewrites.py``, solved by ``TPEngine`` at a
+2,000-step budget with the default options, under ``strict_alg2`` or under
+``occurs_check``, traced and untraced.  Per run it records how the run
+ended, a sha256 of its raw answers (variables with their ids), its steps,
+its ``_next_id``, a sha256 of ``tables.dump()`` and, when traced, a sha256
+of the formatted events.
+
+Each tree runs in a child process of its own, with ``PYTHONPATH=<tree>/src``
+and a 1 GB address-space limit; a run that takes more than 1 s, or runs out
+of memory, is counted as capped and left out of the comparison.  The two
+children run side by side, one per tree.  The summary line gives how many
+runs were compared, how many ended on both sides and how many were capped
+on either side; each run that ended on both sides and differs is listed
+with the fields that differ, and the exit status is then 1.
+"""
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import random
+import signal
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+STEP_BUDGET = 2_000
+CAP_S = 1.0
+CAP_AS = 1 << 30
+MODES = {"default": {}, "strict_alg2": {"strict_alg2": True},
+         "occurs_check": {"occurs_check": True}}
+REWRITES = ("plain", "with_cuts", "with_functions", "with_var_heads")
+FIELDS = ("status", "answers", "steps", "next_id", "dump", "events")
+
+
+class _Capped(BaseException):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Capped
+
+
+def seed_range(text):
+    """``"A-B"`` (or ``"A"``) as the range of seeds A to B inclusive.
+
+    >>> seed_range("0-19")
+    range(0, 20)
+    >>> seed_range("7")
+    range(7, 8)
+    """
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def raw_tuple(tup):
+    """An answer tuple as text that names each variable with its id, which
+    ``format_tuple`` leaves out."""
+    from lintab.terms import Struct, Var
+
+    out, stack = ["("], [")"]
+    for i, t in enumerate(reversed(tup)):
+        if i:
+            stack.append(",")
+        stack.append(t)
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        elif type(t) is Var:
+            out.append(f"{t.name}#{t.id}")
+        elif type(t) is not Struct:
+            out.append(t.name)
+        elif not t.args:
+            out.append(t.functor)
+        else:
+            out.append(t.functor + "(")
+            stack.append(")")
+            for i in range(len(t.args) - 1, 0, -1):
+                stack += [t.args[i], ","]
+            stack.append(t.args[0])
+    return "".join(out)
+
+
+def run_one(src, query, options, traced):
+    """The record of one run: how it ended, and its answers, steps, node
+    count, tables and events."""
+    from lintab.engine import StepBudgetExceeded, TPEngine
+    from lintab.program import parse_program, parse_query
+    from lintab.trace import format_event
+
+    events = [] if traced else None
+    engine = TPEngine(parse_program(src), step_budget=STEP_BUDGET,
+                      sink=None if events is None else events.append, **options)
+    answers, status = [], "complete"
+    try:
+        for tup in engine.solve(parse_query(query)[0]):
+            answers.append(raw_tuple(tup))
+    except StepBudgetExceeded:
+        status = "resource-limit"
+    except Exception as e:  # CyclicTermError without the occurs check, or a fault
+        status = f"{type(e).__name__}: {e}"
+    record = {"status": status, "answers": sha(answers), "steps": engine._steps,
+              "next_id": engine._next_id, "dump": sha(engine.tables.dump())}
+    if traced:
+        record["events"] = sha(format_event(e) for e in events)
+    return record
+
+
+def child(seeds):
+    """Run the grid in this process, one JSON line per run on stdout."""
+    import resource
+
+    from lintab.oracle import generate_program
+    from rewrites import with_cuts, with_functions, with_var_heads
+
+    rewrites = {"plain": lambda src, rng: src, "with_cuts": with_cuts,
+                "with_functions": with_functions, "with_var_heads": with_var_heads}
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_AS, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    signal.signal(signal.SIGALRM, _stop)
+    for seed in seeds:
+        for name in REWRITES:
+            rng = random.Random(seed)
+            src, query = generate_program(rng)
+            src = rewrites[name](src, rng)
+            for mode, options in MODES.items():
+                for traced in (True, False):
+                    # a stop raised in a finalizer the collector ran would
+                    # be swallowed, so the collector is off while timed
+                    gc.disable()
+                    signal.setitimer(signal.ITIMER_REAL, CAP_S)
+                    try:
+                        try:
+                            record = run_one(src, query, options, traced)
+                        finally:
+                            signal.setitimer(signal.ITIMER_REAL, 0)
+                            gc.enable()
+                    except _Capped:
+                        record = {"capped": "time"}
+                    except MemoryError:
+                        record = {"capped": "memory"}
+                    except Exception as e:  # in the dump or a digest
+                        record = {"status": f"{type(e).__name__} after the run: {e}"}
+                    record["run"] = [seed, name, mode, "traced" if traced else "untraced"]
+                    print(json.dumps(record), flush=True)
+
+
+def run_tree(tree, seeds):
+    """The records of ``tree``'s child by run, and its exit status."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", f"{seeds.start}-{seeds.stop - 1}"],
+        env=env, stdout=subprocess.PIPE, text=True)
+    records = {}
+    for line in proc.stdout.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:  # the last line of a child that was killed
+            break
+        records[tuple(record.pop("run"))] = record
+    return records, proc.returncode
+
+
+def compare(old, new):
+    """Counts of compared, ended and capped runs, and per differing run the
+    fields that differ."""
+    ended = capped = 0
+    differ = []
+    for run in sorted(old.keys() & new.keys()):
+        a, b = old[run], new[run]
+        if "capped" in a or "capped" in b:
+            capped += 1
+            continue
+        ended += 1
+        fields = [f for f in FIELDS if a.get(f) != b.get(f)]
+        if fields:
+            differ.append((run, fields, a, b))
+    return len(old.keys() & new.keys()), ended, capped, differ
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", nargs="?", help="the source tree to compare against")
+    parser.add_argument("new", nargs="?", help="the source tree under test")
+    parser.add_argument("--seeds", type=seed_range, default=range(500),
+                        help="generate_program seeds, A-B inclusive (default 0-499)")
+    parser.add_argument("--child", metavar="A-B", type=seed_range, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        child(args.child)
+        return 0
+    if args.new is None:
+        parser.error("give two source trees")
+    with ThreadPoolExecutor(2) as pool:
+        (old, old_rc), (new, new_rc) = pool.map(lambda t: run_tree(t, args.seeds),
+                                                (args.old, args.new))
+    expected = len(args.seeds) * len(REWRITES) * len(MODES) * 2
+    compared, ended, capped, differ = compare(old, new)
+    for run, fields, a, b in differ:
+        print(" ".join(map(str, run)), "differs in", ", ".join(fields))
+        for f in fields:
+            print(f"  {f}: {a.get(f)} -> {b.get(f)}")
+    old_only = sum("capped" in r for r in old.values())
+    new_only = sum("capped" in r for r in new.values())
+    print(f"{compared} of {expected} runs compared: {ended} ended on both sides, "
+          f"{capped} capped on either side ({old_only} on the old tree, {new_only} on the new), "
+          f"{len(differ)} differ")
+    failed = [t for t, rc, got in ((args.old, old_rc, old), (args.new, new_rc, new))
+              if rc != 0 or len(got) != expected]
+    for tree in failed:
+        print(f"the run on {tree} stopped early", file=sys.stderr)
+    return 1 if differ or failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from lintab.oracle import (
 )
 from lintab.program import parse_program, parse_query
 from lintab.terms import Const, canonicalize, format_tuple
-from lintab.trace import check_clause_skip, check_stack_discipline
+from tracecheck import check_clause_skip, check_stack_discipline
 
 SWEEP_SEEDS = 500
 SWEEP_BUDGET = 10_000_000
@@ -84,7 +84,7 @@ def test_criterion_02_rotation_terminates(goldens):
     res = goldens["p2.pl"]
     assert res.status == "complete"
     assert [format_tuple(a) for a in res.answers] == ["(a,b,c)", "(b,c,a)", "(c,a,b)"]
-    assert len(res.answer_set) == 3
+    assert len({canonicalize(a) for a in res.answers}) == 3
     print("\nACCEPTANCE 2: PASS - p(X,Y,Z) = exactly the three rotations, terminates")
 
 
@@ -114,7 +114,8 @@ def test_criterion_03_answer_arrives_in_iteration(goldens):
 def test_criterion_04_cut_prunes(goldens):
     res = goldens["p4.pl"]
     assert [format_tuple(a) for a in res.answers] == ["(a,b)", "(a,c)"]
-    table = res.engine.tables.tables.get(canonicalize(parse_query("p(X,Y)")[0][0]))
+    key = canonicalize(parse_query("p(X,Y)")[0][0])
+    (table,) = [t for t in res.engine.tables.tables.values() if t.key == key]
     assert table.clause_status == [1, 0, 0, 0]
     memoed = {
         format_tuple(e.get("tuple")) for e in res.engine.events if e.kind == "memo"

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import random
-import re
 import signal
 
 import pytest
@@ -28,11 +27,17 @@ from lintab.terms import (
     unify,
     vars_of,
 )
-from lintab.trace import check_clause_skip, check_stack_discipline, format_event
+from lintab.trace import format_event
+from rewrites import with_cuts, with_functions, with_var_heads
+from tracecheck import check_clause_skip, check_stack_discipline
 
 
 def answers_of(result):
     return [format_tuple(a) for a in result.answers]
+
+
+def answer_set(result):
+    return frozenset(canonicalize(a) for a in result.answers)
 
 
 def clause_labels(result):
@@ -179,7 +184,7 @@ t(b,c).
 def test_inner_iteration_does_not_lose_outer_answers():
     r = tp_solve(NESTED, "p(X,Y)")
     assert r.status == "complete"
-    assert r.answer_set == {
+    assert answer_set(r) == {
         (Const("a"), Const("b")),
         (Const("a"), Const("c")),
     }
@@ -193,7 +198,7 @@ def test_inner_iteration_does_not_lose_outer_answers():
 def test_strict_mode_changes_no_answers(load, name, query):
     plain = tp_solve(load(name), query)
     strict = tp_solve(load(name), query, strict_alg2=True)
-    assert plain.answer_set == strict.answer_set
+    assert answer_set(plain) == answer_set(strict)
     assert strict.status == "complete"
 
 
@@ -210,7 +215,7 @@ def test_step_budget_reported(load):
 def test_accepts_parsed_and_text_inputs(load):
     pr = parse_program(load("p1.pl"))
     atoms, _ = parse_query("reach(a,X)")
-    assert tp_solve(pr, atoms).answer_set == tp_solve(load("p1.pl"), "reach(a,X)").answer_set
+    assert answer_set(tp_solve(pr, atoms)) == answer_set(tp_solve(load("p1.pl"), "reach(a,X)"))
 
 
 CYCLIC = "p(X) :- q(X,f(X)).\nq(Y,Y).\n"
@@ -403,6 +408,8 @@ def test_golden_trace_is_pinned(load, name, query):
 # Followers that run out of clauses after a deeper loop over their path was
 # flagged, or under ancestors whose clauses cut before calling them: the
 # flags their first search set still hold then, so they search no more.
+# The last is a loop whose only pass adds nothing, after an answer was
+# memoized before the pass began: its iteration-end says new=1.
 # program, query: answers, event count, sha256
 FOLLOWER_TRACES = {
     # p(X) -> q(X) -> p(X) and q(X) -> q(Y): two loops over one path
@@ -413,10 +420,13 @@ FOLLOWER_TRACES = {
         [], 16, "9584693919c3b9cb19759efdeef0b22a6a3a0df994d59c73492e6f6b046a3c6b"),
     (":- table p/2.\np(X,Y) :- e(X,Z), !, p(Z,Y).\np(X,X).\ne(a,b).\ne(b,a).\n", "p(a,Y)"): (
         ["(a)"], 53, "6e69e6b196e0ffc4022c4ae592736030af3a8b0d0733d0d503a0465c36e5176e"),
+    (":- table q/1.\n:- table p/0.\nq(a).\np :- p.\n", "q(X), p"): (
+        [], 12, "bf63621cd20083d1953c3c2bb46785e0fa775ec2e21fadfd2982eb1b2aaed78b"),
 }
 
 
-@pytest.mark.parametrize("src, query", FOLLOWER_TRACES, ids=["deeper-loop", "cut", "cut-cycle"])
+@pytest.mark.parametrize("src, query", FOLLOWER_TRACES,
+                         ids=["deeper-loop", "cut", "cut-cycle", "new-before-the-pass"])
 def test_follower_traces_are_pinned(src, query):
     r = tp_solve(src, query)
     assert (answers_of(r), *trace_digest(r.engine.events)) == FOLLOWER_TRACES[src, query]
@@ -426,23 +436,6 @@ def test_follower_traces_are_pinned(src, query):
 # -- cut programs against depth-first resolution ----------------------------
 # Where sld_solve completes, the engine gives its answers in its order, each
 # variant once.
-
-
-def with_cuts(src, rng):
-    """Put ``!`` at a random place in about 60% of the rule bodies of a
-    generated program, and turn about 15% of its facts into ``head :- !``."""
-    lines = []
-    for line in src.splitlines():
-        if " :- " in line:
-            head, body = line[:-1].split(" :- ")
-            goals = re.findall(r"\w+(?:\([^)]*\))?", body)
-            if rng.random() < 0.6:
-                goals.insert(rng.randint(0, len(goals)), "!")
-            line = f"{head} :- {', '.join(goals)}."
-        elif not line.startswith(":-") and rng.random() < 0.15:
-            line = f"{line[:-1]} :- !."
-        lines.append(line)
-    return "\n".join(lines) + "\n"
 
 
 def test_cut_programs_agree_with_sld_in_order():
@@ -488,42 +481,6 @@ def test_sweep_answers_and_tables_are_pinned():
                 lines.append(f"{status} {' '.join(answers)} {engine.tables.dump()}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SWEEP_DIGEST
-
-
-def with_functions(src, rng):
-    """Wrap about a third of the argument positions of a generated program
-    in ``f(T)`` or ``g(T,T)``; directives are left as they are."""
-    def wrap(m):
-        arg = m.group()
-        roll = rng.random()
-        return f"f({arg})" if roll < 0.15 else f"g({arg},{arg})" if roll < 0.3 else arg
-
-    return "".join(
-        line if line.startswith(":-") else re.sub(r"(?<=[(,])\w+(?=[,)])", wrap, line)
-        for line in src.splitlines(keepends=True)
-    )
-
-
-def with_var_heads(src, rng):
-    """Rewrite about half the clause heads of a generated program: in some,
-    two arguments become one variable (``p(X,X)``), in the others one
-    argument is nested in ``f(...)``; directives are left as they are."""
-    def rewrite(m):
-        name, args = m.group(1), m.group(2).split(",")
-        roll = rng.random()
-        if roll < 0.25 and len(args) >= 2:
-            v = next((a for a in args if a[0].isupper()), "V")
-            i, j = rng.sample(range(len(args)), 2)
-            args[i] = args[j] = v
-        elif roll < 0.5:
-            i = rng.randrange(len(args))
-            args[i] = f"f({args[i]})"
-        return f"{name}({','.join(args)})"
-
-    return "".join(
-        line if line.startswith(":-") else re.sub(r"^(\w+)\(([^)]*)\)", rewrite, line)
-        for line in src.splitlines(keepends=True)
-    )
 
 
 def test_function_symbol_programs_agree_with_sld():
@@ -584,8 +541,7 @@ def test_variant_is_found_across_an_untabled_call():
     # parse_program would table q, which is on the p-q cycle; left untabled
     # here, the variant p(X) below q(X) is still found
     parsed = parse_program("p(X) :- q(X).\nq(X) :- p(X).\nq(a).\n")
-    program = Program(parsed.clauses, parsed.by_predicate, parsed.declared_tabled,
-                      frozenset({("p", 1)}))
+    program = Program(parsed.clauses, parsed.by_predicate, frozenset({("p", 1)}))
     r = tp_solve(program, "p(X)", step_budget=3000)
     assert (r.status, answers_of(r), r.engine._steps) == ("complete", ["(a)"], 16)
 
@@ -1018,7 +974,7 @@ def fetched(result):
 
 
 def every_answer_fetched(result):
-    tables = result.engine.tables.tables
+    tables = {t.key: t for t in result.engine.tables.tables.values()}
     return all(positions == list(range(len(tables[key].answers)))
                for key, positions in fetched(result).values())
 

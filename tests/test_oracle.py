@@ -158,4 +158,5 @@ def test_generated_programs_stay_inside_the_envelope(seed):
             assert all(isinstance(a, (Const, Var)) for a in b.args)
     atoms, _ = parse_query(query)
     assert len(atoms) == 1
-    assert (atoms[0].functor, len(atoms[0].args)) in pr.declared_tabled
+    assert src.startswith(f":- table {atoms[0].functor}/{len(atoms[0].args)}.\n")
+    assert (atoms[0].functor, len(atoms[0].args)) in pr.tabled

@@ -31,16 +31,14 @@ def test_parse_clauses_and_labels(load):
 
 def test_directive_and_cycle_tabling(load):
     pr = parse_program(load("p1.pl"))
-    assert pr.declared_tabled == {("reach", 2)}
-    assert ("reach", 2) in pr.tabled
-    assert ("edge", 2) not in pr.tabled
+    assert pr.tabled == {("reach", 2)}
+    # a directive tables a predicate that is on no cycle
+    assert parse_program(":- table e/2.\ne(a,b).\nf(a).\n").tabled == {("e", 2)}
 
 
 def test_mutual_recursion_is_tabled_without_directive(load):
     pr = parse_program(load("p3.pl"))
-    assert pr.declared_tabled == frozenset()
-    assert ("p", 2) in pr.tabled and ("q", 2) in pr.tabled
-    assert ("t", 2) not in pr.tabled
+    assert pr.tabled == {("p", 2), ("q", 2)}
 
 
 def test_self_loop_through_other_args_is_tabled(load):
@@ -229,7 +227,7 @@ def _shape(pr):
     """Everything a parse decides, variable names included (``Var``
     equality compares ids only)."""
     return (repr(pr.clauses), [(k, [c.label for c in cs]) for k, cs in pr.by_predicate.items()],
-            pr.declared_tabled, pr.tabled)
+            pr.tabled)
 
 
 _LAYOUT = (" ", "  ", "\t", "\n", "\r\n", "% note, with (punct). X :-\n", "%\r\n")

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lintab.tables
+from lintab.engine import TPEngine
+from lintab.program import parse_program, parse_query
 from lintab.tables import TableStore
 from lintab.terms import (
     Const,
@@ -11,6 +13,7 @@ from lintab.terms import (
     _ground,
     apply,
     canonicalize,
+    format_term,
 )
 
 X, Y = Var(0, "X"), Var(1, "Y")
@@ -23,31 +26,33 @@ def call(*args):
 
 def test_tables_share_across_variants():
     store = TableStore()
-    t = store.get_or_create(call(X, Y), 3)[0]
-    assert store.tables.get(canonicalize(call(Var(9, "U"), Var(8, "V")))) is t
-    assert store.tables.get(canonicalize(call(X, X))) is None
+    t = store.get_or_create(call(X, Y), {}, {})[0]
+    assert store.get_or_create(call(Var(9, "U"), Var(8, "V")), {}, {}) == (t, False)
+    other, created = store.get_or_create(call(X, X), {}, {})
+    assert created and other is not t
+    assert [format_term(u.key) for u in store.tables.values()] == ["p(_0,_1)", "p(_0,_0)"]
 
 
 def test_variant_call_keeps_the_existing_table():
     store = TableStore()
-    t = store.get_or_create(call(X), 1)[0]
+    t = store.get_or_create(call(X), {}, {})[0]
     store.memo(t, (a,))
-    again, created = store.get_or_create(call(Y), 1)
+    again, created = store.get_or_create(call(Y), {}, {})
     assert again is t and not created
     assert again.answers == [(a,)]
 
 
 def test_get_or_create():
     store = TableStore()
-    t1, created = store.get_or_create(call(X), 2)
-    t2, again = store.get_or_create(call(Y), 2)
+    t1, created = store.get_or_create(call(X), {}, {})
+    t2, again = store.get_or_create(call(Y), {}, {})
     assert created and not again
     assert t1 is t2
 
 
 def test_memo_appends_and_dedups_variants():
     store = TableStore()
-    t = store.get_or_create(call(X, Y), 1)[0]
+    t = store.get_or_create(call(X, Y), {}, {})[0]
     assert store.memo(t, (a, Var(5, "W")))[1]
     assert not store.memo(t, (a, Var(7, "Q")))[1]
     assert store.memo(t, (a, b))[1]
@@ -57,7 +62,7 @@ def test_memo_appends_and_dedups_variants():
 
 def test_memo_hands_back_the_canonical_tuple():
     store = TableStore()
-    t = store.get_or_create(call(X, Y), 1)[0]
+    t = store.get_or_create(call(X, Y), {}, {})[0]
     first = store.memo(t, (a, Var(5, "W")))
     again = store.memo(t, (a, Var(7, "Q")))
     assert first == (t.answers[0], True)
@@ -65,20 +70,19 @@ def test_memo_hands_back_the_canonical_tuple():
 
 
 def test_memo_flags():
+    # memo says whether the answer was new, and counts only new ones
     store = TableStore()
-    t = store.get_or_create(call(X), 1)[0]
-    assert not store.new_flag
-    store.memo(t, (a,))
-    assert store.new_flag
-    store.new_flag = False
-    store.memo(t, (a,))  # duplicate
-    assert not store.new_flag
+    t = store.get_or_create(call(X), {}, {})[0]
+    assert store.memo_count == 0
+    assert store.memo(t, (a,))[1]
+    assert store.memo_count == 1
+    assert not store.memo(t, (a,))[1]  # duplicate
     assert store.memo_count == 1
 
 
 def test_unit_answer_completes_table():
     store = TableStore()
-    t = store.get_or_create(call(X, Y), 1)[0]
+    t = store.get_or_create(call(X, Y), {}, {})[0]
     store.memo(t, (a, b))
     assert not t.comp
     store.memo(t, (Var(3, "U"), Var(4, "V")))
@@ -86,46 +90,59 @@ def test_unit_answer_completes_table():
 
 
 def test_completion_needs_no_second_walk_of_the_key(monkeypatch):
-    def walk(_):
-        raise AssertionError("the key was walked again")
+    # memo renames a non-ground answer once, to its canonical form, and
+    # reads completion off that; a ground answer is not renamed at all
+    renamed = []
+    rename = lintab.tables._rename
 
-    monkeypatch.setattr(lintab.tables, "vars_of", walk)
+    def counted(*args):
+        renamed.append(args[0])
+        return rename(*args)
+
+    monkeypatch.setattr(lintab.tables, "_rename", counted)
     store = TableStore()
-    t = store.get_or_create(call(X, Y, X), 1)[0]
+    t = store.get_or_create(call(X, Y, X), {}, {})[0]
     store.memo(t, (Var(4, "V"), Var(4, "V")))
-    assert not t.comp
+    assert not t.comp and len(renamed) == 1
+    store.memo(t, (a, b))
+    assert not t.comp and len(renamed) == 1
     store.memo(t, (Var(3, "U"), Var(4, "V")))
-    assert t.comp
-    g = store.get_or_create(call(a), 1)[0]
+    assert t.comp and len(renamed) == 2
+    g = store.get_or_create(call(a), {}, {})[0]
     store.memo(g, ())
-    assert g.comp
+    assert g.comp and len(renamed) == 2
 
 
 def test_ground_subgoal_completes_on_empty_tuple():
     store = TableStore()
-    t = store.get_or_create(call(a), 2)[0]
+    t = store.get_or_create(call(a), {}, {})[0]
     store.memo(t, ())
     assert t.comp
     assert t.answers == [()]
 
 
 def test_clause_status_starts_open():
-    t = TableStore().get_or_create(call(X), 4)[0]
+    # the engine gives a table it makes one set bit per clause
+    engine = TPEngine(parse_program(":- table p/1.\np(a).\np(b).\np(c).\np(d).\n"))
+    solving = engine.solve(parse_query("p(X)")[0])
+    next(solving)
+    (t,) = engine.tables.tables.values()
     assert t.clause_status == [1, 1, 1, 1]
+    solving.close()
 
 
 def test_dump_format():
     store = TableStore()
-    t = store.get_or_create(call(X, a), 3)[0]
+    t = store.get_or_create(call(X, a), {}, {})[0]
     store.memo(t, (b,))
-    t.clause_status[1] = 0
+    t.clause_status = [1, 0, 1]
     t.comp = True
     assert store.dump() == ["TB(p(_0,a)): answers=[(b)] status=[1,0,1] comp=1"]
 
 
 def test_answers_are_append_only_in_order():
     store = TableStore()
-    t = store.get_or_create(call(X), 1)[0]
+    t = store.get_or_create(call(X), {}, {})[0]
     for c in ("c", "a", "b"):
         store.memo(t, (Const(c),))
     assert [x[0].name for x in t.answers] == ["c", "a", "b"]
@@ -177,11 +194,12 @@ def test_flat_lookup_finds_the_canonical_table(case):
     for atom in calls:
         want_mapping = {}
         key = canonicalize(apply(atom, bindings), want_mapping)
-        before = store.tables.get(key)
+        before = [t for t in store.tables.values() if t.key == key]
         mapping = {}
-        t, created = store.get_or_create(atom, 2, mapping, bindings)
-        assert store.tables.get(key) is t
-        assert created == (before is None)
+        t, created = store.get_or_create(atom, mapping, bindings)
+        assert t.key == key
+        assert created == (before == [])
+        assert before in ([], [t])
         assert list(mapping.items()) == list(want_mapping.items())
         assert _ground(t.key) == (not want_mapping)
 
@@ -190,4 +208,4 @@ def test_a_cyclic_binding_raises_naming_the_variable():
     # the occurs check was off when X was bound to f(X)
     bindings = {X: Struct("f", (X,))}
     with pytest.raises(CyclicTermError, match="^cyclic binding through X$"):
-        TableStore().get_or_create(call(a, X), 1, {}, bindings)
+        TableStore().get_or_create(call(a, X), {}, bindings)
