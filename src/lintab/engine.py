@@ -672,8 +672,8 @@ class TPEngine:
                 # the pass added answers somewhere: evaluate another pass
                 node.pass_mark = self._pass_start = self.tables.memo_count
                 node.iteration_pass += 1
-                status = tbl.clause_status
-                node.clause_ptr = next((i for i, bit in enumerate(status) if bit), len(status))
+                # _clause_child skips the clauses whose bit is clear
+                node.clause_ptr = 0
                 if self._sink is not None:
                     self._sink(event("iteration-start", node=node.id,
                                      iteration=node.iteration_pass))

@@ -272,9 +272,7 @@ def parse_program(text: str) -> Program:
         group.append(c)
         clauses.append(c)
     by_pred = {key: tuple(cs) for key, cs in grouped.items()}
-
-    prog = Program(tuple(clauses), by_pred, frozenset())
-    return Program(prog.clauses, by_pred, classify_tabled(prog) | declared)
+    return Program(tuple(clauses), by_pred, classify_tabled(by_pred) | declared)
 
 
 def parse_query(text: str) -> tuple[tuple[Struct, ...], list[Var]]:
@@ -301,22 +299,24 @@ def parse_query(text: str) -> tuple[tuple[Struct, ...], list[Var]]:
     return tuple(atoms), vars_of(atoms)
 
 
-def dependency_graph(program: Program) -> dict[PredKey, frozenset[PredKey]]:
+def dependency_graph(
+        by_predicate: dict[PredKey, tuple[Clause, ...]]) -> dict[PredKey, frozenset[PredKey]]:
     """Edges from each head predicate to the predicates its bodies call."""
-    edges: dict[PredKey, set[PredKey]] = {k: set() for k in program.by_predicate}
-    for c in program.clauses:
-        for b in c.body:
-            if isinstance(b, Cut):
-                continue
-            callee = (b.functor, len(b.args))
-            edges.setdefault(callee, set())
-            edges[c.pred].add(callee)
+    edges: dict[PredKey, set[PredKey]] = {k: set() for k in by_predicate}
+    for key, group in by_predicate.items():
+        for c in group:
+            for b in c.body:
+                if isinstance(b, Cut):
+                    continue
+                callee = (b.functor, len(b.args))
+                edges.setdefault(callee, set())
+                edges[key].add(callee)
     return {k: frozenset(v) for k, v in edges.items()}
 
 
-def classify_tabled(program: Program) -> frozenset[PredKey]:
+def classify_tabled(by_predicate: dict[PredKey, tuple[Clause, ...]]) -> frozenset[PredKey]:
     """Predicates on a dependency cycle (self-loops included)."""
-    graph = dependency_graph(program)
+    graph = dependency_graph(by_predicate)
     index: dict[PredKey, int] = {}
     low: dict[PredKey, int] = {}
     on_stack: set[PredKey] = set()

@@ -123,16 +123,7 @@ class Struct:
         return h
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Struct:
-            return False
-        if self.functor != other.functor or len(self.args) != len(other.args):
-            return False
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
-            return False
-        return _equal_args(self.args, other.args)
+        return _equal_args((self,), (other,))
 
     def __repr__(self) -> str:
         # pre-order on an explicit stack of terms and the punctuation between
@@ -428,19 +419,15 @@ def apply_tuple(ts: tuple[Term, ...], s: Subst) -> tuple[Term, ...]:
     return tuple([apply(t, s) for t in ts])
 
 
-def _deref(t: Term, s: Subst) -> Term:
-    while type(t) is Var:
-        b = s.get(t)
-        if b is None:
-            break
-        t = b
-    return t
-
-
 def _occurs(v: Var, t: Term, s: Subst) -> bool:
     stack = [t]
     while stack:
-        x = _deref(stack.pop(), s)
+        x = stack.pop()
+        while type(x) is Var:
+            b = s.get(x)
+            if b is None:
+                break
+            x = b
         if type(x) is Var:
             if x.id == v.id:
                 return True

@@ -8,9 +8,9 @@ Each run is a ``generate_program`` seed (0-499 by default), as generated or
 through one of the rewrites in ``rewrites.py``, solved by ``TPEngine`` at a
 2,000-step budget with the default options, under ``strict_alg2`` or under
 ``occurs_check``, traced and untraced.  Per run it records how the run
-ended, a sha256 of its raw answers (variables with their ids), its steps,
-its ``_next_id``, a sha256 of ``tables.dump()`` and, when traced, a sha256
-of the formatted events.
+ended, the count and sha256 of the ``repr()`` of its raw answers (which
+names each variable with its id), its steps, its ``_next_id``, and the count
+and sha256 of ``tables.dump()`` and, when traced, of the formatted events.
 
 Each tree runs in a child process of its own, with ``PYTHONPATH=<tree>/src``
 and a 1 GB address-space limit; a run that takes more than 1 s, or runs out
@@ -22,31 +22,18 @@ with the fields that differ, and the exit status is then 1.
 """
 
 import argparse
-import gc
-import hashlib
 import json
 import os
-import random
-import signal
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from runs import MODES, REWRITES, Capped, capped, digest, solved, sweep
+
 STEP_BUDGET = 2_000
 CAP_S = 1.0
 CAP_AS = 1 << 30
-MODES = {"default": {}, "strict_alg2": {"strict_alg2": True},
-         "occurs_check": {"occurs_check": True}}
-REWRITES = ("plain", "with_cuts", "with_functions", "with_var_heads")
 FIELDS = ("status", "answers", "steps", "next_id", "dump", "events")
-
-
-class _Capped(BaseException):
-    pass
-
-
-def _stop(signum, frame):
-    raise _Capped
 
 
 def seed_range(text):
@@ -61,61 +48,22 @@ def seed_range(text):
     return range(int(first), int(last or first) + 1)
 
 
-def sha(lines):
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def raw_tuple(tup):
-    """An answer tuple as text that names each variable with its id, which
-    ``format_tuple`` leaves out."""
-    from lintab.terms import Struct, Var
-
-    out, stack = ["("], [")"]
-    for i, t in enumerate(reversed(tup)):
-        if i:
-            stack.append(",")
-        stack.append(t)
-    while stack:
-        t = stack.pop()
-        if type(t) is str:
-            out.append(t)
-        elif type(t) is Var:
-            out.append(f"{t.name}#{t.id}")
-        elif type(t) is not Struct:
-            out.append(t.name)
-        elif not t.args:
-            out.append(t.functor)
-        else:
-            out.append(t.functor + "(")
-            stack.append(")")
-            for i in range(len(t.args) - 1, 0, -1):
-                stack += [t.args[i], ","]
-            stack.append(t.args[0])
-    return "".join(out)
-
-
 def run_one(src, query, options, traced):
     """The record of one run: how it ended, and its answers, steps, node
     count, tables and events."""
-    from lintab.engine import StepBudgetExceeded, TPEngine
-    from lintab.program import parse_program, parse_query
+    from lintab.engine import TPEngine
+    from lintab.program import parse_program
     from lintab.trace import format_event
 
     events = [] if traced else None
     engine = TPEngine(parse_program(src), step_budget=STEP_BUDGET,
                       sink=None if events is None else events.append, **options)
-    answers, status = [], "complete"
-    try:
-        for tup in engine.solve(parse_query(query)[0]):
-            answers.append(raw_tuple(tup))
-    except StepBudgetExceeded:
-        status = "resource-limit"
-    except Exception as e:  # CyclicTermError without the occurs check, or a fault
-        status = f"{type(e).__name__}: {e}"
-    record = {"status": status, "answers": sha(answers), "steps": engine._steps,
-              "next_id": engine._next_id, "dump": sha(engine.tables.dump())}
+    # CyclicTermError without the occurs check, or a fault, is the status
+    status, answers, steps, next_id, dump = solved(engine, query, (Exception,))
+    record = {"status": status, "answers": digest(map(repr, answers)), "steps": steps,
+              "next_id": next_id, "dump": digest(dump)}
     if traced:
-        record["events"] = sha(format_event(e) for e in events)
+        record["events"] = digest(map(format_event, events))
     return record
 
 
@@ -123,38 +71,20 @@ def child(seeds):
     """Run the grid in this process, one JSON line per run on stdout."""
     import resource
 
-    from lintab.oracle import generate_program
-    from rewrites import with_cuts, with_functions, with_var_heads
-
-    rewrites = {"plain": lambda src, rng: src, "with_cuts": with_cuts,
-                "with_functions": with_functions, "with_var_heads": with_var_heads}
     resource.setrlimit(resource.RLIMIT_AS, (CAP_AS, resource.getrlimit(resource.RLIMIT_AS)[1]))
-    signal.signal(signal.SIGALRM, _stop)
-    for seed in seeds:
-        for name in REWRITES:
-            rng = random.Random(seed)
-            src, query = generate_program(rng)
-            src = rewrites[name](src, rng)
-            for mode, options in MODES.items():
-                for traced in (True, False):
-                    # a stop raised in a finalizer the collector ran would
-                    # be swallowed, so the collector is off while timed
-                    gc.disable()
-                    signal.setitimer(signal.ITIMER_REAL, CAP_S)
-                    try:
-                        try:
-                            record = run_one(src, query, options, traced)
-                        finally:
-                            signal.setitimer(signal.ITIMER_REAL, 0)
-                            gc.enable()
-                    except _Capped:
-                        record = {"capped": "time"}
-                    except MemoryError:
-                        record = {"capped": "memory"}
-                    except Exception as e:  # in the dump or a digest
-                        record = {"status": f"{type(e).__name__} after the run: {e}"}
-                    record["run"] = [seed, name, mode, "traced" if traced else "untraced"]
-                    print(json.dumps(record), flush=True)
+    for seed, name, src, query in sweep(seeds):
+        for mode, options in MODES.items():
+            for traced in (True, False):
+                try:
+                    record = capped(CAP_S, run_one, src, query, options, traced)
+                except MemoryError:
+                    record = {"capped": "memory"}
+                except Exception as e:  # in the dump or a digest
+                    record = {"status": f"{type(e).__name__} after the run: {e}"}
+                if record is Capped:
+                    record = {"capped": "time"}
+                record["run"] = [seed, name, mode, "traced" if traced else "untraced"]
+                print(json.dumps(record), flush=True)
 
 
 def run_tree(tree, seeds):

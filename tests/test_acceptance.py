@@ -7,22 +7,16 @@ termination inside the step budget, trace discipline, and answer uniqueness.
 Each test prints a one-line verdict so the -s output reads as a checklist.
 """
 
-import random
 import time
 
 import pytest
 
 from goldens import GOLDEN_QUERIES
 from lintab.engine import tp_solve
-from lintab.oracle import (
-    bottomup_solve,
-    constants_of,
-    generate_program,
-    ground_expand,
-    sld_solve,
-)
+from lintab.oracle import bottomup_solve, constants_of, ground_expand, sld_solve
 from lintab.program import parse_program, parse_query
 from lintab.terms import Const, canonicalize, format_tuple
+from runs import sweep as sweep_grid
 from tracecheck import check_clause_skip, check_stack_discipline
 
 SWEEP_SEEDS = 500
@@ -39,8 +33,7 @@ def goldens(load):
 def sweep():
     t0 = time.perf_counter()
     runs = []
-    for seed in range(SWEEP_SEEDS):
-        src, query = generate_program(random.Random(seed))
+    for seed, _, src, query in sweep_grid(range(SWEEP_SEEDS), ("plain",)):
         program = parse_program(src)
         atoms, _ = parse_query(query)
         res = tp_solve(program, atoms, step_budget=SWEEP_BUDGET)

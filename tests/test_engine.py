@@ -1,7 +1,4 @@
-import gc
-import hashlib
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +26,7 @@ from lintab.terms import (
 )
 from lintab.trace import format_event
 from rewrites import with_cuts, with_functions, with_var_heads
+from runs import MODES, Capped, capped, digest, solved, sweep
 from tracecheck import check_clause_skip, check_stack_discipline
 
 
@@ -394,15 +392,10 @@ GOLDEN_TRACES = {
 }
 
 
-def trace_digest(events):
-    """The count and sha256 of the formatted events."""
-    lines = [format_event(e) for e in events]
-    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("name, query", GOLDEN_QUERIES)
 def test_golden_trace_is_pinned(load, name, query):
-    assert trace_digest(tp_solve(load(name), query).engine.events) == GOLDEN_TRACES[name]
+    events = tp_solve(load(name), query).engine.events
+    assert digest(map(format_event, events)) == GOLDEN_TRACES[name]
 
 
 # Followers that run out of clauses after a deeper loop over their path was
@@ -428,8 +421,8 @@ FOLLOWER_TRACES = {
 @pytest.mark.parametrize("src, query", FOLLOWER_TRACES,
                          ids=["deeper-loop", "cut", "cut-cycle", "new-before-the-pass"])
 def test_follower_traces_are_pinned(src, query):
-    r = tp_solve(src, query)
-    assert (answers_of(r), *trace_digest(r.engine.events)) == FOLLOWER_TRACES[src, query]
+    r, want = tp_solve(src, query), FOLLOWER_TRACES[src, query]
+    assert (answers_of(r), *digest(map(format_event, r.engine.events))) == want
     assert_clean_trace(r)
 
 
@@ -440,10 +433,8 @@ def test_follower_traces_are_pinned(src, query):
 
 def test_cut_programs_agree_with_sld_in_order():
     completed = 0
-    for seed in range(500):
-        rng = random.Random(seed)
-        src, query = generate_program(rng)
-        program = parse_program(with_cuts(src, rng))
+    for seed, _, src, query in sweep(range(500), ("with_cuts",)):
+        program = parse_program(src)
         atoms, _ = parse_query(query)
         ref = sld_solve(program, atoms, depth_bound=6)
         if ref.status != "complete":
@@ -466,21 +457,13 @@ SWEEP_DIGEST = "c04fc4ff4984b7d8cc9ee811813d1ecd51a2657da963bc370492272c765ea80c
 def test_sweep_answers_and_tables_are_pinned():
     # untraced, as the answers and tables do not depend on a sink
     lines = []
-    for options in ({}, {"strict_alg2": True}):
-        for rewrite in (lambda src, rng: src, with_cuts):
-            for seed in range(500):
-                rng = random.Random(seed)
-                src, query = generate_program(rng)
-                engine = TPEngine(parse_program(rewrite(src, rng)), **options)
-                answers, status = [], "complete"
-                try:
-                    for tup in engine.solve(parse_query(query)[0]):
-                        answers.append(format_tuple(canonicalize(tup)))
-                except StepBudgetExceeded:
-                    status = "resource-limit"
-                lines.append(f"{status} {' '.join(answers)} {engine.tables.dump()}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == SWEEP_DIGEST
+    for options in (MODES["default"], MODES["strict_alg2"]):
+        for rewrite in ("plain", "with_cuts"):
+            for _, _, src, query in sweep(range(500), (rewrite,)):
+                status, answers, *_, dump = solved(TPEngine(parse_program(src), **options), query)
+                answers = " ".join(format_tuple(canonicalize(a)) for a in answers)
+                lines.append(f"{status} {answers} {dump}")
+    assert digest(lines)[1] == SWEEP_DIGEST
 
 
 def test_function_symbol_programs_agree_with_sld():
@@ -730,7 +713,7 @@ FALL_THROUGH_OPTIONS = {"cyclic-occurs-check": {"occurs_check": True}}
 def test_non_ground_and_compound_answers_are_pinned(name):
     # ``answers`` is the list of canonical answers of a complete run, or the
     # exception the run raises after the pinned steps and events
-    source, query, answers, dump, steps, n_events, digest = FALL_THROUGH[name]
+    source, query, answers, dump, steps, n_events, sha = FALL_THROUGH[name]
     events = []
     engine = TPEngine(parse_program(source), sink=events.append,
                       **FALL_THROUGH_OPTIONS.get(name, {}))
@@ -742,9 +725,8 @@ def test_non_ground_and_compound_answers_are_pinned(name):
         with pytest.raises(answers):
             list(engine.solve(atoms))
     assert engine.tables.dump() == dump
-    lines = [format_event(e) for e in events]
     assert engine._steps == steps
-    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (n_events, digest)
+    assert digest(map(format_event, events)) == (n_events, sha)
 
 
 def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
@@ -790,15 +772,14 @@ MATCHER = {
 @pytest.mark.parametrize("occurs_check", [False, True])
 @pytest.mark.parametrize("name", MATCHER)
 def test_matcher_rejections_are_pinned(name, occurs_check):
-    source, query, answers, dump, steps, n_events, digest = MATCHER[name]
+    source, query, answers, dump, steps, n_events, sha = MATCHER[name]
     events = []
     engine = TPEngine(parse_program(source), sink=events.append, occurs_check=occurs_check)
     atoms, _ = parse_query(query)
     assert [format_tuple(canonicalize(a)) for a in engine.solve(atoms)] == answers
     assert engine.tables.dump() == dump
-    lines = [format_event(e) for e in events]
     assert engine._steps == steps
-    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (n_events, digest)
+    assert digest(map(format_event, events)) == (n_events, sha)
 
 
 # -- terms nested deeper than Python's stack ----------------------------------
@@ -847,14 +828,6 @@ def test_deep_terms_need_no_deeper_stack(shallow_recursion):
     assert dump[0].startswith(f"TB(nat(_0)): answers=[{','.join(naturals[:10])},")
 
 
-class _Stopped(Exception):
-    """A run went past its time cap."""
-
-
-def _stop(signum, frame):
-    raise _Stopped
-
-
 def test_function_symbol_programs_never_raise_recursion_error(shallow_recursion):
     """Seeds 0-299 of ``generate_program``, each with cuts put in and with
     ``f``/``g`` arguments wrapped, run by ``tp_solve`` at a 200-step budget
@@ -876,7 +849,7 @@ def test_function_symbol_programs_never_raise_recursion_error(shallow_recursion)
         atoms, _ = parse_query(query)
         try:
             with shallow_recursion():
-                stopped += capped(0.2, tp_solve, program, atoms, step_budget=200) is _Stopped
+                stopped += capped(0.2, tp_solve, program, atoms, step_budget=200) is Capped
         except RecursionError:
             failed.append(seed)
     assert failed == []
@@ -888,27 +861,6 @@ def test_function_symbol_programs_never_raise_recursion_error(shallow_recursion)
 # share ground subterms grow in size as trees, not in the time they take.
 
 
-def capped(seconds, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or ``_Stopped`` once ``seconds`` have passed
-    (never, for 0).  The cyclic collector could finalize an earlier test's
-    generator while a run is timed, and the stop raised inside that
-    finalizer would be swallowed, so it is off while the run is timed.  The
-    stop is returned, not raised: its traceback would hold the term being
-    walked, and a failure report that printed that term would not end."""
-    old = signal.signal(signal.SIGALRM, _stop)
-    gc.disable()
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            gc.enable()
-            signal.signal(signal.SIGALRM, old)
-    except _Stopped:
-        return _Stopped
-
-
 # its answers nest g(T,T), each twice the tree size of the one before
 DOUBLING = (":- table p/2.\np(b,f(a)).\np(f(b),b).\np(g(a,a),f(a)) :- p(a,a), p(a,g(b,b)).\n"
             "p(b,b).\np(a,a) :- p(a,b), !.\np(a,f(a)).\np(b,a).\n"
@@ -918,7 +870,7 @@ DOUBLING = (":- table p/2.\np(b,f(a)).\np(f(b),b).\np(g(a,a),f(a)) :- p(a,a), p(
 
 def test_answers_sharing_ground_subterms_reach_the_step_budget():
     r = capped(2.0, tp_solve, DOUBLING, "p(X,Y)", step_budget=20_000)
-    assert r is not _Stopped
+    assert r is not Capped
     assert (r.status, r.engine._steps) == ("resource-limit", 20_001)
 
 
@@ -1061,21 +1013,6 @@ def test_a_new_table_needs_no_ancestor_search(monkeypatch):
 # fetches it, without a node.
 
 
-def solved(engine, query):
-    """How ``engine``'s run of ``query`` ended, its raw answers, steps, node
-    count and tables."""
-    atoms, _ = parse_query(query)
-    answers, status = [], "complete"
-    try:
-        for tup in engine.solve(atoms):
-            answers.append(tup)
-    except StepBudgetExceeded:
-        status = "resource-limit"
-    except CyclicTermError as e:
-        status = str(e)
-    return status, answers, engine._steps, engine._next_id, engine.tables.dump()
-
-
 def shown(src, query, options):
     """``solved`` of a traced run, and how many answers it took in place:
     its fetch events less the fetches that built a node."""
@@ -1117,15 +1054,15 @@ def taken_in_place(spans):
 
 def traced_and_untraced(runs, seconds=0):
     """``solved`` of each ``(program, query, options)`` run traced, then
-    untraced, as ``_Stopped`` if it ran past ``seconds``; and how many
+    untraced, as ``Capped`` if it ran past ``seconds``; and how many
     answers the untraced runs took in place."""
     traced, plain, taken = [], [], 0
     for run in runs:
         t = capped(seconds, shown, *run)
         u = capped(seconds, untraced, *run)
-        traced.append(t if t is _Stopped else t[0])
-        plain.append(u if u is _Stopped else u[0])
-        taken += 0 if u is _Stopped else taken_in_place(u[1])
+        traced.append(t if t is Capped else t[0])
+        plain.append(u if u is Capped else u[0])
+        taken += 0 if u is Capped else taken_in_place(u[1])
     return traced, plain, taken
 
 
@@ -1144,19 +1081,14 @@ def test_graphs_show_the_same_run_with_the_path_off():
     assert plain == traced and taken > 0
 
 
-@pytest.mark.parametrize("options", [{}, {"strict_alg2": True}, {"occurs_check": True}],
-                         ids=["default", "strict_alg2", "occurs_check"])
+@pytest.mark.parametrize("options", MODES.values(), ids=list(MODES))
 def test_sweep_variants_show_the_same_run_with_the_path_off(options):
     # every 10th sweep program, as it is and rewritten; a run whose terms
     # grow too fast to reach the budget in time is left out on both sides
-    runs = []
-    for seed in range(0, 500, 10):
-        for rewrite in (lambda src, rng: src, with_cuts, with_functions, with_var_heads):
-            rng = random.Random(seed)
-            src, query = generate_program(rng)
-            runs.append((rewrite(src, rng), query, {"step_budget": 500, **options}))
+    runs = [(src, query, {"step_budget": 500, **options})
+            for _, _, src, query in sweep(range(0, 500, 10))]
     traced, plain, taken = traced_and_untraced(runs, seconds=0.3)
-    both = [(a, b) for a, b in zip(traced, plain) if a is not _Stopped and b is not _Stopped]
+    both = [(a, b) for a, b in zip(traced, plain) if a is not Capped and b is not Capped]
     assert [b for _, b in both] == [a for a, _ in both]
     assert len(both) >= 190 and taken > 0
 

@@ -50,7 +50,7 @@ def test_self_loop_through_other_args_is_tabled(load):
 
 
 def test_dependency_graph(load):
-    g = dependency_graph(parse_program(load("p3.pl")))
+    g = dependency_graph(parse_program(load("p3.pl")).by_predicate)
     assert g[("p", 2)] == {("q", 2)}
     assert g[("q", 2)] == {("p", 2), ("t", 2)}
 
