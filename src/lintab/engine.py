@@ -242,14 +242,22 @@ def _compile(head: Struct, body: tuple, tabled: frozenset[PredKey]) -> Template:
     slots: dict[Var, int] = {}
     head_t = tuple(_template(a, slots) for a in head.args)
     body_t = tuple(b if type(b) is Cut else _template(b, slots) for b in body)
-    # the head first, as most tabled goals share a variable with it
-    marked = tuple(
+    # the candidates: tabled goals with a variable and none in the head, as
+    # most tabled goals share one with it; only their clauses are counted
+    marked = [
         k for k, b in enumerate(body)
         if type(b) is not Cut and (b.functor, len(b.args)) in tabled
-        and (vs := set(vars_of(b)))
-        and vs.isdisjoint(vars_of(head)) and vs.isdisjoint(vars_of(body[:k] + body[k + 1:]))
-    )
-    return len(slots), head_t, body_t, marked
+        and (vs := set(vars_of(b))) and vs.isdisjoint(vars_of(head))
+    ]
+    if marked:
+        # per variable, the number of goals it occurs in
+        goals: dict[Var, int] = {}
+        for b in body:
+            if type(b) is not Cut:
+                for v in vars_of(b):
+                    goals[v] = goals.get(v, 0) + 1
+        marked = [k for k in marked if all(goals[v] == 1 for v in vars_of(body[k]))]
+    return len(slots), head_t, body_t, tuple(marked)
 
 
 def _build(tmpl: tuple, regs: list, fresh: FreshVars) -> Struct:
@@ -741,7 +749,6 @@ class TPEngine:
                 anc = {"anc": node.anc} if tabled else {}
                 self._expanded(child, clause=cl.label, ord=cl.ordinal, **anc)
             return child
-        node.clause_ptr = len(clauses)
         return None
 
     def _nodetype_update(self, path: list[Node], j: int) -> None:

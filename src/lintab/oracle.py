@@ -197,33 +197,33 @@ def constants_of(program: Program, query: Sequence[Struct]) -> list[str]:
     return sorted(names)
 
 
-def _match(
-    atoms: Sequence[Struct],
-    facts: dict,
-    theta: dict[Var, str],
-) -> Iterator[dict[Var, str]]:
+def _match(atoms: Sequence[Struct], facts: dict) -> Iterator[dict[Var, str]]:
+    """Each binding of the atoms' variables under which every atom is a row
+    of ``facts``, depth-first over the atoms in order.  The join keeps one
+    pending row generator per atom on an explicit stack, each holding the
+    binding before its atom, so a body of any length needs no deeper
+    Python stack."""
+
+    def rows(k: int, theta: dict[Var, str]) -> Iterator[dict[Var, str]]:
+        atom = atoms[k]
+        for row in facts.get((atom.functor, len(atom.args)), ()):
+            ext = dict(theta)
+            if all(arg.name == val if isinstance(arg, Const) else ext.setdefault(arg, val) == val
+                   for arg, val in zip(atom.args, row)):
+                yield ext
+
     if not atoms:
-        yield theta
+        yield {}
         return
-    atom, rest = atoms[0], atoms[1:]
-    key = (atom.functor, len(atom.args))
-    for row in facts.get(key, ()):
-        ext = dict(theta)
-        ok = True
-        for arg, val in zip(atom.args, row):
-            if isinstance(arg, Const):
-                if arg.name != val:
-                    ok = False
-                    break
-            else:
-                bound = ext.get(arg)
-                if bound is None:
-                    ext[arg] = val
-                elif bound != val:
-                    ok = False
-                    break
-        if ok:
-            yield from _match(rest, facts, ext)
+    stack = [rows(0, {})]
+    while stack:
+        ext = next(stack[-1], None)
+        if ext is None:
+            stack.pop()
+        elif len(stack) == len(atoms):
+            yield ext
+        else:
+            stack.append(rows(len(stack), ext))
 
 
 def bottomup_solve(program: Program, query: Sequence[Struct]) -> OracleResult:
@@ -255,7 +255,7 @@ def bottomup_solve(program: Program, query: Sequence[Struct]) -> OracleResult:
         for c in program.clauses:
             key = (c.head.functor, len(c.head.args))
             rel = facts.setdefault(key, set())
-            for theta in _match(tuple(c.body), snapshot, {}):
+            for theta in _match(c.body, snapshot):
                 for row in head_rows(c.head, theta):
                     if row not in rel:
                         rel.add(row)
@@ -263,7 +263,7 @@ def bottomup_solve(program: Program, query: Sequence[Struct]) -> OracleResult:
 
     qvars = vars_of(tuple(query))
     seen: set[tuple[str, ...]] = set()
-    for theta in _match(tuple(query), facts, {}):
+    for theta in _match(query, facts):
         seen.add(tuple(theta[v] for v in qvars))
     answers = tuple(
         tuple(Const(n) for n in row) for row in sorted(seen)

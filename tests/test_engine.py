@@ -398,34 +398,6 @@ def test_golden_trace_is_pinned(load, name, query):
     assert digest(map(format_event, events)) == GOLDEN_TRACES[name]
 
 
-# Followers that run out of clauses after a deeper loop over their path was
-# flagged, or under ancestors whose clauses cut before calling them: the
-# flags their first search set still hold then, so they search no more.
-# The last is a loop whose only pass adds nothing, after an answer was
-# memoized before the pass began: its iteration-end says new=1.
-# program, query: answers, event count, sha256
-FOLLOWER_TRACES = {
-    # p(X) -> q(X) -> p(X) and q(X) -> q(Y): two loops over one path
-    (":- table p/1.\n:- table q/1.\np(X) :- q(X).\nq(X) :- p(X).\nq(X) :- q(Y), e(Y,X).\n"
-     "q(a).\ne(a,b).\n", "p(X)"): (
-        ["(a)", "(b)"], 73, "fbf424f7d573c5c46b8b10183a7d2b80622617119eddf68979af31488fe58597"),
-    (":- table p/1.\np(X) :- e(X,_), !, p(X).\np(b).\ne(a,b).\ne(b,a).\n", "p(X)"): (
-        [], 16, "9584693919c3b9cb19759efdeef0b22a6a3a0df994d59c73492e6f6b046a3c6b"),
-    (":- table p/2.\np(X,Y) :- e(X,Z), !, p(Z,Y).\np(X,X).\ne(a,b).\ne(b,a).\n", "p(a,Y)"): (
-        ["(a)"], 53, "6e69e6b196e0ffc4022c4ae592736030af3a8b0d0733d0d503a0465c36e5176e"),
-    (":- table q/1.\n:- table p/0.\nq(a).\np :- p.\n", "q(X), p"): (
-        [], 12, "bf63621cd20083d1953c3c2bb46785e0fa775ec2e21fadfd2982eb1b2aaed78b"),
-}
-
-
-@pytest.mark.parametrize("src, query", FOLLOWER_TRACES,
-                         ids=["deeper-loop", "cut", "cut-cycle", "new-before-the-pass"])
-def test_follower_traces_are_pinned(src, query):
-    r, want = tp_solve(src, query), FOLLOWER_TRACES[src, query]
-    assert (answers_of(r), *digest(map(format_event, r.engine.events))) == want
-    assert_clean_trace(r)
-
-
 # -- cut programs against depth-first resolution ----------------------------
 # Where sld_solve completes, the engine gives its answers in its order, each
 # variant once.
@@ -578,18 +550,32 @@ def test_a_tabled_call_on_a_cyclic_binding_raises():
         tp_solve(src, "q(Z)")
 
 
-# -- answers that are not ground or not function-free -----------------------
+# -- pinned runs ----------------------------------------------------------------
+# Runs down paths the goldens miss, each pinned end to end: canonical answers
+# (or the exception the run raises), table dump, _steps, event count and
+# trace sha256; a complete run's trace also passes both trace checks.
+#
 # Every golden answer is a ground constant tuple, and no golden clause has a
-# variable after its cut; these pin the paths a non-ground or compound
-# answer takes through memo, fetch and renaming, and the renaming of bodies
-# with variables after a cut: canonical answers, table dump, _steps, event
-# count and trace sha256.
+# variable after its cut: the first entries pin the paths a non-ground or
+# compound answer takes through memo, fetch and renaming, and the renaming of
+# bodies with variables after a cut.  Then clauses the matcher rejects or
+# admits: every clause, ground or not, is tried by matching the call against
+# its template, here a constant inside a head compound met by a different
+# one, ground heads met by a repeated variable, and a ground compound head met
+# by a partly bound call, pinned the same with and without the occurs check.
+# Last, followers that run out of clauses after a deeper loop over their path
+# was flagged, or under ancestors whose clauses cut before calling them: the
+# flags their first search set still hold then, so they search no more; and a
+# loop whose only pass adds nothing, after an answer was memoized before the
+# pass began: its iteration-end says new=1.
 
 EQ_HEADS = ":- table e/2.\ne(X,Y) :- eq(X,Y).\ne(X,Y) :- eq(f(X),Y).\neq(X,X).\n"
 NESTED_HEAD = ":- table p/1.\np(f(X,g(Y,X))) :- q(Y).\nq(b).\nq(c).\n"
 CYCLIC_HEAD = "p(X,f(X)).\nq(Y) :- p(Y,Y), r, s(Y).\nq(a).\nr.\ns(_).\n"
+NO_CLAUSE = ([], [], 1, 2, "5ee33db64cc9d1d47e07453c9ca92502e830c893934e5bee5f9446f257f04611")
 
-FALL_THROUGH = {
+# name: source, query, answers, dump, steps, event count, sha256
+PINNED = {
     "non-ground": (
         ":- table p/2.\np(X,Y) :- p(X,Y).\np(a,Y).\np(X,b).\n",
         "p(X,Y)",
@@ -705,52 +691,6 @@ FALL_THROUGH = {
         [],
         4, 4, "64cc9f698875b69e4deffbf06b32eddc350192cfac94357224ab12413ff7b9bf",
     ),
-}
-FALL_THROUGH_OPTIONS = {"cyclic-occurs-check": {"occurs_check": True}}
-
-
-@pytest.mark.parametrize("name", FALL_THROUGH)
-def test_non_ground_and_compound_answers_are_pinned(name):
-    # ``answers`` is the list of canonical answers of a complete run, or the
-    # exception the run raises after the pinned steps and events
-    source, query, answers, dump, steps, n_events, sha = FALL_THROUGH[name]
-    events = []
-    engine = TPEngine(parse_program(source), sink=events.append,
-                      **FALL_THROUGH_OPTIONS.get(name, {}))
-    atoms, _ = parse_query(query)
-    if isinstance(answers, list):
-        got = [format_tuple(canonicalize(a)) for a in engine.solve(atoms)]
-        assert got == answers
-    else:
-        with pytest.raises(answers):
-            list(engine.solve(atoms))
-    assert engine.tables.dump() == dump
-    assert engine._steps == steps
-    assert digest(map(format_event, events)) == (n_events, sha)
-
-
-def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
-    depth = 3000
-    source = "p(" + "f(" * depth + "X" + ")" * depth + ").\n"
-    query = "p(" + "f(" * depth + "a" + ")" * depth + ")"
-    r = tp_solve(source, query)
-    assert (r.status, r.answers) == ("complete", [()])
-    prog = tmp_path / "deep.pl"
-    prog.write_text(source)
-    assert main(["run", str(prog), "-q", query]) == EXIT_OK
-    assert capsys.readouterr() == ("yes\n", "")
-
-
-# -- clauses the matcher rejects or admits ------------------------------------
-# Every clause, ground or not, is tried by matching the call against its
-# template: a constant inside a head compound met by a different one, ground
-# heads met by a repeated variable, and a ground compound head met by a
-# partly bound call.  Each pins canonical answers, table dump, _steps, event
-# count and trace sha256, the same with and without the occurs check.
-
-NO_CLAUSE = ([], [], 1, 2, "5ee33db64cc9d1d47e07453c9ca92502e830c893934e5bee5f9446f257f04611")
-
-MATCHER = {
     "head-constant-differs": ("q(f(a,X)).\n", "q(f(b,Y))", *NO_CLAUSE),
     "head-constant-same": (
         "q(f(a,X)).\n", "q(f(a,Y))",
@@ -766,20 +706,72 @@ MATCHER = {
         ["(a,g(b))"], [], 3, 5, "21185a9c5c3fa37ebb8687bfd34d72b8e15f1b3ad71101cbabbf9e0852ae6156",
     ),
     "ground-compound-differs": ("p(f(a),g(b)).\n", "p(f(b),Y)", *NO_CLAUSE),
+    # p(X) -> q(X) -> p(X) and q(X) -> q(Y): two loops over one path
+    "follower-deeper-loop": (
+        ":- table p/1.\n:- table q/1.\np(X) :- q(X).\nq(X) :- p(X).\nq(X) :- q(Y), e(Y,X).\n"
+        "q(a).\ne(a,b).\n", "p(X)",
+        ["(a)", "(b)"],
+        ["TB(p(_0)): answers=[(a),(b)] status=[1] comp=1",
+         "TB(q(_0)): answers=[(a),(b)] status=[1,1,0] comp=0"],
+        39, 73, "fbf424f7d573c5c46b8b10183a7d2b80622617119eddf68979af31488fe58597",
+    ),
+    "follower-cut": (
+        ":- table p/1.\np(X) :- e(X,_), !, p(X).\np(b).\ne(a,b).\ne(b,a).\n", "p(X)",
+        [],
+        ["TB(p(_0)): answers=[] status=[0,0] comp=1", "TB(p(a)): answers=[] status=[1,1] comp=1"],
+        9, 16, "9584693919c3b9cb19759efdeef0b22a6a3a0df994d59c73492e6f6b046a3c6b",
+    ),
+    "follower-cut-cycle": (
+        ":- table p/2.\np(X,Y) :- e(X,Z), !, p(Z,Y).\np(X,X).\ne(a,b).\ne(b,a).\n", "p(a,Y)",
+        ["(a)"],
+        ["TB(p(a,_0)): answers=[(a)] status=[1,0] comp=1",
+         "TB(p(b,_0)): answers=[(a)] status=[1,1] comp=0"],
+        26, 53, "6e69e6b196e0ffc4022c4ae592736030af3a8b0d0733d0d503a0465c36e5176e",
+    ),
+    "follower-new-before-the-pass": (
+        ":- table q/1.\n:- table p/0.\nq(a).\np :- p.\n", "q(X), p",
+        [],
+        ["TB(q(_0)): answers=[(a)] status=[0] comp=1", "TB(p): answers=[] status=[1] comp=1"],
+        6, 12, "bf63621cd20083d1953c3c2bb46785e0fa775ec2e21fadfd2982eb1b2aaed78b",
+    ),
 }
+OCCURS_CHECK = {"occurs_check": True}
+# name: the options a run is pinned under, if not just the defaults
+PINNED_OPTIONS = {"cyclic-occurs-check": [OCCURS_CHECK]} | dict.fromkeys(
+    ["head-constant-differs", "head-constant-same", "ground-repeated-var-same",
+     "ground-repeated-var-differs", "ground-compound-partly-bound", "ground-compound-differs"],
+    [{}, OCCURS_CHECK])
 
 
-@pytest.mark.parametrize("occurs_check", [False, True])
-@pytest.mark.parametrize("name", MATCHER)
-def test_matcher_rejections_are_pinned(name, occurs_check):
-    source, query, answers, dump, steps, n_events, sha = MATCHER[name]
+@pytest.mark.parametrize("name, options", [
+    pytest.param(name, options, id=name if len(runs) == 1 else f"{name}-{bool(options)}")
+    for name in PINNED for runs in [PINNED_OPTIONS.get(name, [{}])] for options in runs])
+def test_pinned_runs(name, options):
+    # ``answers`` is the list of canonical answers of a complete run, or the
+    # exception the run raises after the pinned steps and events
+    source, query, answers, dump, steps, n_events, sha = PINNED[name]
     events = []
-    engine = TPEngine(parse_program(source), sink=events.append, occurs_check=occurs_check)
-    atoms, _ = parse_query(query)
-    assert [format_tuple(canonicalize(a)) for a in engine.solve(atoms)] == answers
-    assert engine.tables.dump() == dump
-    assert engine._steps == steps
+    engine = TPEngine(parse_program(source), sink=events.append, **options)
+    status, got, *_ = solved(engine, query)
+    if isinstance(answers, list):
+        assert (status, [format_tuple(canonicalize(a)) for a in got]) == ("complete", answers)
+        assert check_stack_discipline(events) == [] and check_clause_skip(events) == []
+    else:
+        assert status.startswith(f"{answers.__name__}: ")
+    assert (engine.tables.dump(), engine._steps) == (dump, steps)
     assert digest(map(format_event, events)) == (n_events, sha)
+
+
+def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
+    depth = 3000
+    source = "p(" + "f(" * depth + "X" + ")" * depth + ").\n"
+    query = "p(" + "f(" * depth + "a" + ")" * depth + ")"
+    r = tp_solve(source, query)
+    assert (r.status, r.answers) == ("complete", [()])
+    prog = tmp_path / "deep.pl"
+    prog.write_text(source)
+    assert main(["run", str(prog), "-q", query]) == EXIT_OK
+    assert capsys.readouterr() == ("yes\n", "")
 
 
 # -- terms nested deeper than Python's stack ----------------------------------
@@ -915,6 +907,15 @@ def test_existential_tabled_goals_are_marked_on_the_template():
     assert _compile(clause.head, clause.body, frozenset())[3] == ()
 
 
+def test_the_marks_of_a_long_clause_take_linear_time():
+    # every q(Xk) is existential; checking each against the variables of all
+    # the other goals took seconds
+    src = ":- table q/1.\nq(a).\np :- " + ", ".join(f"q(X{k})" for k in range(2000)) + ".\n"
+    r = capped(1.0, tp_solve, src, "p")
+    assert r is not Capped
+    assert (r.status, r.answers, r.engine._steps) == ("complete", [()], 4006)
+
+
 def fetched(result):
     """Per node that fetched answers: its table's key and the positions it
     fetched, in order."""
@@ -1014,20 +1015,14 @@ def test_a_new_table_needs_no_ancestor_search(monkeypatch):
 
 
 def shown(src, query, options):
-    """``solved`` of a traced run, and how many answers it took in place:
-    its fetch events less the fetches that built a node."""
+    """``solved`` of a traced run, which builds every node it numbers: a
+    run the budget stops leaves its stack unfinished, so its trace is not
+    checked in full, but its expansions still count its node numbers."""
     events = []
     engine = TPEngine(parse_program(src), sink=events.append, **options)
-    built = []
-    fetch = engine._fetch_for
-
-    def count(node, owner, source):
-        built.append(source)
-        return fetch(node, owner, source)
-
-    engine._fetch_for = count
     run = solved(engine, query)
-    return run, sum(e.kind == "fetch" for e in events) - len(built)
+    assert engine._next_id == sum(e.kind == "expand" for e in events)
+    return run
 
 
 def untraced(src, query, options):
@@ -1058,9 +1053,8 @@ def traced_and_untraced(runs, seconds=0):
     answers the untraced runs took in place."""
     traced, plain, taken = [], [], 0
     for run in runs:
-        t = capped(seconds, shown, *run)
+        traced.append(capped(seconds, shown, *run))
         u = capped(seconds, untraced, *run)
-        traced.append(t if t is Capped else t[0])
         plain.append(u if u is Capped else u[0])
         taken += 0 if u is Capped else taken_in_place(u[1])
     return traced, plain, taken
@@ -1113,7 +1107,6 @@ def test_answers_taken_in_place_are_pinned(load):
     runs = [(right, "reach(n0,Y)", {}), (left, "reach(n0,Y)", {}),
             (load("p2.pl"), "p(X,Y,Z)", {}), (load("p3.pl"), "p(X,Y)", {})]
     assert [taken_in_place(untraced(*run)[1]) for run in runs] == [611, 0, 4, 3]
-    assert [shown(*run)[1] for run in runs] == [0, 0, 0, 0]
 
 
 MARKED_IN_PLACE = (":- table p/1.\n:- table q/1.\np(a).\np(b).\np(c).\n"
@@ -1125,8 +1118,7 @@ def test_a_marked_call_takes_one_answer_in_place():
     # memo-look would drop q's duplicate (d), and skips (b) and (c)
     plain, spans = untraced(MARKED_IN_PLACE, "q(X)", {})
     assert taken_in_place(spans) == 1
-    traced, taken = shown(MARKED_IN_PLACE, "q(X)", {})
-    assert (traced, plain[2], taken) == (plain, 17, 0)
+    assert (shown(MARKED_IN_PLACE, "q(X)", {}), plain[2]) == (plain, 17)
 
 
 class _DumpAtEveryCheck(int):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from lintab.cli import EXIT_OK, main
 from lintab.oracle import (
     DepthBoundExceeded,
     UnsupportedProgramError,
@@ -119,6 +120,18 @@ def test_bottomup_rejects_functions_and_cuts():
         solve_bottomup("p(f(a)).\n", "p(X)")
     with pytest.raises(UnsupportedProgramError):
         solve_bottomup("p(a) :- q(a), !.\nq(a).\n", "p(X)")
+
+
+def test_a_long_body_and_query_join_without_recursion(tmp_path, capsys):
+    # a frame per goal would pass Python's recursion limit
+    goals = ", ".join(["q"] * 1500)
+    source = f"p :- {goals}.\nq.\n"
+    prog = tmp_path / "long.pl"
+    prog.write_text(source)
+    for query in ("p", goals):
+        assert solve_bottomup(source, query).answers == ((),)
+        assert main(["run", str(prog), "-q", query, "--engine", "bottomup"]) == EXIT_OK
+        assert capsys.readouterr() == ("yes\n", "")
 
 
 def test_ground_expand():

@@ -27,6 +27,9 @@ BAD_STACKS = {
                               "the active node is 1"),
     "nodes-left-active": ([ROOT, expand(1, 0), backtrack(1)], "1 nodes still active"),
     "first-expand-has-a-parent": ([expand(0, 7), backtrack(0)], "must be a root"),
+    # node 1 is numbered but never expanded
+    "node-number-skipped": ([ROOT, expand(2, 0), backtrack(2), backtrack(0)],
+                            "the next node is 1"),
 }
 
 

@@ -1,16 +1,24 @@
-"""Trace checks the tests run on recorded events: expansions grow the tip of
-the derivation and backtracking pops it, and no expansion under a known
-ancestor variant reuses a clause the ancestor has in use."""
+"""Trace checks the tests run on recorded events: expansions number their
+nodes in order, grow the tip of the derivation, and backtracking pops it;
+and no expansion under a known ancestor variant reuses a clause the ancestor
+has in use.  A traced run builds every node it numbers, so a node number no
+``expand`` carries is a node the run took without building it."""
 
 
 def check_stack_discipline(events) -> list[str]:
-    """Verify that expansions only ever grow the tip of the derivation,
-    backtracking only ever pops it, and the run ends with no node active.
-    Returns human-readable violations."""
+    """Verify that expansions number their nodes 0, 1, 2, ... in order and
+    only ever grow the tip of the derivation, backtracking only ever pops
+    it, and the run ends with no node active.  Returns human-readable
+    violations."""
     errors: list[str] = []
     stack: list[int] = []
+    next_id = 0
     for i, ev in enumerate(events):
         if ev.kind == "expand":
+            node = ev.get("node")
+            if node != next_id:
+                errors.append(f"event {i}: expand of node {node} but the next node is {next_id}")
+            next_id = node + 1
             parent = ev.get("parent")
             if stack:
                 if parent != stack[-1]:
@@ -20,7 +28,7 @@ def check_stack_discipline(events) -> list[str]:
                     )
             elif parent is not None:
                 errors.append(f"event {i}: first expand must be a root, got parent {parent}")
-            stack.append(ev.get("node"))
+            stack.append(node)
         elif ev.kind == "backtrack":
             node = ev.get("node")
             if not stack:
