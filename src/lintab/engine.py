@@ -71,25 +71,32 @@ it can run out, as backtracking that reaches the follower passes the
 executed cut, which prunes past it.  The goal list the search walks is
 shared and never changes, so it would find the same path again.
 
-A tabled body goal is existential when it has a variable and none of its
-variables occurs in the clause's head or in another of its goals, as
-``p(Y)`` in ``q(X) :- p(Y), r(X)``; its cell is ``(goal, rest, 1)``.  The
-answer it takes binds nothing its continuation reads, so each answer
-repeats the continuation under the same bindings.  A repeat is skipped, and
-the goal's unconsumed answers count as consumed, when no answer has been
-memoized anywhere since the goal's last fetch, and the continuation reaches
-a pending memo-look before the end of the goal list whose owner has no
-unconsumed answer.  The repeat would then make the calls the last run made,
-against tables holding the answers they held then and no more open
-clauses, so it would find a part of what that run found: it would make no
-table, memoize only duplicates, clear only clause bits that run cleared and
-set only loop flags that run set, and each of its paths would end at that
-memo-look, in a duplicate and a fetch that finds nothing, not in an answer
-Prolog would show again.  A skipped repeat memoizes nothing and changes no
-table.  Without the memo-look the repeat would end in such an answer, and
-an unconsumed answer at the memo-look would go on to the rest of the goal
-list, so neither is skipped; nor is a non-tabled existential goal, whose
-later clauses may make new tables.
+A tabled body goal's own variables are those that occur in no other goal of
+its clause and not in its head, as ``Y`` in ``q(X) :- p(X,Y), r(X)``; the
+cell of a goal with own variables also holds the registers its clause's
+body was built from and the slots of those variables.  The answers it takes
+bind its own variables only for the goal itself, so two answers with the
+same projection onto its other call variables, up to renaming, give its
+continuation the same bindings.  An answer is skipped, counting as
+consumed, when its projection is that of an answer the goal has fetched
+since the last answer was memoized anywhere, and the continuation reaches a
+pending memo-look before the end of the goal list whose owner has no
+unconsumed answer.  An existential goal, all of whose variables are its
+own, as ``p(Y)`` in ``q(X) :- p(Y), r(X)``, projects every answer to the
+empty tuple, so it skips every answer after its first fetch.  The repeat
+would make the calls the earlier run made, against tables holding the
+answers they held then and no more open clauses, so it would find a part of
+what that run found: it would make no table, memoize only duplicates, clear
+only clause bits that run cleared and set only loop flags that run set, and
+each of its paths would end at that memo-look, in a duplicate and a fetch
+that finds nothing, not in an answer Prolog would show again.  A skipped
+answer therefore memoizes nothing and changes no table.  Without the
+memo-look the repeat would end in such an answer, and an unconsumed answer
+at the memo-look would go on to the rest of the goal list, so neither is
+skipped; nor is an answer of a non-tabled goal, whose later clauses may
+make new tables.  The projection is worked out only when the test is made,
+over the answers the goal has passed since its first fetch at the current
+memo count: each was fetched, or skipped for a projection fetched before.
 
 A tabled call that was its clause body's last goal has its caller's
 memo-look at the head of its continuation, so each answer it takes costs
@@ -111,14 +118,25 @@ every later answer can be read before any is taken.  The call therefore
 scans its unconsumed answers up to the first that fails a condition,
 which is fetched, and then accounts for the whole run at once: it moves
 the cursor past the run and takes one node number and two steps per
-answer.  A marked call takes one answer at most, as its repeats are
-skipped after that.  Only the answers whose two steps fit in the budget
-are taken; the next one is fetched as usual, so a budget that runs out
-stops the run in ``solve``, at the step where taking the answers one by
-one would.  A traced run fetches every answer, so each event is emitted
-at the step it records and every ``expand`` is a node the engine built;
-it shows the same answers, tables and steps, and ends with the same node
-count, as the run without a sink.
+answer.  A goal with own variables also skips, at no step, each answer
+whose projection it has taken or fetched since the last memo, as its
+fetches would.  Only the answers whose two steps fit in the budget are
+taken; the next one that is not skipped is fetched as usual, so a budget
+that runs out stops the run in ``solve``, at the step where taking the
+answers one by one would.  A traced run fetches every answer, so each
+event is emitted at the step it records and every ``expand`` is a node the
+engine built; it shows the same answers, tables and steps, and ends with
+the same node count, as the run without a sink.
+
+A tabled call resolves a renamed copy of its table key, so whether the
+matcher rejects a clause's head is the same for every call of the table.
+When a table's clauses run again, in a leader's next pass or in a call
+that did not make the table and has no ancestor variant, the table keeps
+the positions of the clauses its key matches whose status bit is still
+set, as a clear bit is never set again, and later walks try only those.
+The test match draws variables of its own, so the run's fresh variables
+do not move.  Making a table, and the first pass over its clauses, try
+them all, as most tables are evaluated once.
 
 Cut prunes the derivation back to the call that introduced it, with the
 usual Prolog semantics for non-tabled calls; for tabled calls it also
@@ -132,10 +150,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .program import Cut, PredKey, Program, parse_program, parse_query
 from .tables import Table, TableStore
+from .templates import Template, _build, _compile
 from .terms import (
     Const,
     FreshVars,
@@ -184,105 +204,25 @@ class CutItem:
 
 
 # a goal list is a chain of (item, rest) cells, None when empty; an item is
-# a call, a cut, or a tabled call's own node planted as its memo-look; an
-# existential tabled goal's cell is (item, rest, 1)
+# a call, a cut, or a tabled call's own node planted as its memo-look; the
+# cell of a tabled goal with own variables is (item, rest, registers, the
+# slots of its own variables), the registers its clause's body was built from
 Goals = tuple | None
 
 
-def _push(items: Sequence, rest: Goals, marked: tuple[int, ...] = ()) -> Goals:
+def _push(items: Sequence, rest: Goals, marked: dict[int, tuple] | None = None,
+          regs: list | None = None) -> Goals:
     """The goal list of ``items`` followed by ``rest``, which is shared; the
-    items at the positions in ``marked`` get marked cells."""
+    item at a position in ``marked`` gets a cell with ``regs`` and the slots
+    it maps to."""
     for k in range(len(items) - 1, -1, -1):
-        rest = (items[k], rest, 1) if k in marked else (items[k], rest)
+        own = marked.get(k) if marked else None
+        rest = (items[k], rest) if own is None else (items[k], rest, regs, own)
     return rest
 
 
-# A clause template numbers the clause's variables as slots, in first-
-# occurrence order over head then body.  A template term is a slot (an int),
-# a term with no variable (kept as it is, and shared), or a compound with a
-# variable as a (functor, argument templates) pair; a body's cut stays as it
-# is.  Resolution fills a register per slot: matching the head sets those of
-# the head, and building the body draws fresh variables for the rest.  A
-# clause without variables is its own template: no slots, its head's
-# arguments and its body as they are.  A template also keeps the positions
-# of its body's existential tabled goals.
-Template = tuple[int, tuple, tuple, tuple]  # (slot count, head arguments, body, marked)
-
-
-def _template(t: Term, slots: dict[Var, int]):
-    """The template of ``t``, numbering its new variables in ``slots``."""
-    if type(t) is Var:
-        return slots.setdefault(t, len(slots))
-    if type(t) is not Struct or _ground(t):
-        return t
-    # post-order on an explicit stack: (term, its arguments, templates so far)
-    stack = [(t, iter(t.args), [])]
-    while True:
-        t, args, out = stack[-1]
-        for a in args:
-            if type(a) is Var:
-                out.append(slots.setdefault(a, len(slots)))
-            elif type(a) is Struct and a.args and not _ground(a):
-                stack.append((a, iter(a.args), []))
-                break
-            else:
-                out.append(a)
-        else:
-            stack.pop()
-            tmpl = (t.functor, tuple(out))
-            if not stack:
-                return tmpl
-            stack[-1][2].append(tmpl)
-
-
-def _compile(head: Struct, body: tuple, tabled: frozenset[PredKey]) -> Template:
-    """The template of a clause, with the positions of the body goals of a
-    predicate in ``tabled`` that are existential: that have a variable, and
-    none of whose variables occurs in the head or in another goal."""
-    slots: dict[Var, int] = {}
-    head_t = tuple(_template(a, slots) for a in head.args)
-    body_t = tuple(b if type(b) is Cut else _template(b, slots) for b in body)
-    # the candidates: tabled goals with a variable and none in the head, as
-    # most tabled goals share one with it; only their clauses are counted
-    marked = [
-        k for k, b in enumerate(body)
-        if type(b) is not Cut and (b.functor, len(b.args)) in tabled
-        and (vs := set(vars_of(b))) and vs.isdisjoint(vars_of(head))
-    ]
-    if marked:
-        # per variable, the number of goals it occurs in
-        goals: dict[Var, int] = {}
-        for b in body:
-            if type(b) is not Cut:
-                for v in vars_of(b):
-                    goals[v] = goals.get(v, 0) + 1
-        marked = [k for k in marked if all(goals[v] == 1 for v in vars_of(body[k]))]
-    return len(slots), head_t, body_t, tuple(marked)
-
-
-def _build(tmpl: tuple, regs: list, fresh: FreshVars) -> Struct:
-    """The compound a (functor, argument templates) pair stands for under
-    ``regs``; a slot still empty draws a fresh variable."""
-    stack = [(tmpl[0], iter(tmpl[1]), [])]
-    while True:
-        functor, args, out = stack[-1]
-        for a in args:
-            if type(a) is int:
-                v = regs[a]
-                if v is None:
-                    v = regs[a] = fresh.new()
-                out.append(v)
-            elif type(a) is tuple:
-                stack.append((a[0], iter(a[1]), []))
-                break
-            else:
-                out.append(a)
-        else:
-            stack.pop()
-            term = Struct(functor, tuple(out))
-            if not stack:
-                return term
-            stack[-1][2].append(term)
+# the projection of an existential goal's answers: a[0:0], the empty tuple
+_EMPTY = itemgetter(slice(0, 0))
 
 
 def _match(head: tuple, args: tuple, regs: list, fresh: FreshVars,
@@ -360,6 +300,8 @@ class Node:
         "copy_vars",
         "mark",
         "fetch_mark",
+        "scan",
+        "done",
     )
 
     def __init__(self, id_: int, parent: "Node | None", items: Goals,
@@ -382,6 +324,10 @@ class Node:
         self.copy_vars: tuple[Var, ...] = ()  # a tabled call's copy's variables
         self.mark = mark  # trail length before the node's own bindings
         self.fetch_mark = -1  # memo count at the node's last fetch as an owner
+        # set from the first fetch at a memo count on, and only read then:
+        # ``done`` holds the projections of the answers passed since, up to
+        # answer ``scan``, once a goal with own variables has made it; until
+        # then ``scan`` is ~ the position of that fetch
 
     def __repr__(self) -> str:
         return f"<Node {self.id} {self.origin_kind}>"
@@ -434,7 +380,7 @@ class TPEngine:
                 else:
                     open_.append(i)
                 if _ground((cl.head,) + cl.body):
-                    self._templates[id(cl)] = (0, args, cl.body, ())
+                    self._templates[id(cl)] = (0, args, cl.body, None)
             if open_:
                 # two sorted runs: timsort merges them in linear time
                 by_const = {name: sorted(same + open_) for name, same in by_const.items()}
@@ -539,9 +485,9 @@ class TPEngine:
         return self._backtrack(node)
 
     def _skips_repeats(self, owner: Node) -> bool:
-        """Whether a repeat of the owner's continuation can add nothing, as
-        the module docstring sets out; if so its unconsumed answers count
-        as consumed."""
+        """Move the owner's cursor past the unconsumed answers whose repeat
+        of its continuation can add nothing, as the module docstring sets
+        out; whether it has none left."""
         if len(owner.items) == 2 or owner.fetch_mark != self.tables.memo_count:
             return False
         cell = owner.items[1]
@@ -550,15 +496,47 @@ class TPEngine:
             if type(item) is Node:
                 if item.answer_ptr < len(item.table.answers):
                     return False
-                owner.answer_ptr = len(owner.table.answers)
-                return True
+                key, done = self._projected(owner)
+                answers = owner.table.answers
+                # the empty projection is that of every answer
+                end = len(answers) if key is _EMPTY else owner.answer_ptr
+                while end < len(answers) and key(answers[end]) in done:
+                    end += 1
+                owner.answer_ptr = owner.scan = end
+                return end == len(answers)
             cell = cell[1]
         return False
 
+    def _projected(self, owner: Node) -> tuple[Callable[[tuple], object], set]:
+        """The projection of the owner's answers onto its call variables
+        other than its goal's own variables, up to renaming, and the set of
+        the projections of the answers it has passed since its first fetch
+        at the current memo count."""
+        _, _, regs, slots = owner.items
+        call_vars = owner.call_vars
+        fetched = owner.fetch_mark == self.tables.memo_count
+        if len(slots) == len(call_vars):
+            # every call variable is its own: the empty projection
+            return _EMPTY, {()} if fetched else set()
+        own = [regs[s] for s in slots]
+        get = itemgetter(*[i for i, c in enumerate(call_vars) if c not in own])
+        tbl = owner.table
+        key = get if tbl.ground else (lambda a: canonicalize(get(a)))
+        if not fetched:
+            return key, set()
+        scan = owner.scan
+        if scan < 0:
+            scan, owner.done = ~scan, set()
+        done = owner.done
+        done.update(map(key, tbl.answers[scan:owner.answer_ptr]))
+        owner.scan = owner.answer_ptr
+        return key, done
+
     def _take_in_place(self, node: Node) -> bool:
         """Take in place the run of the node's unconsumed answers that its
-        memo-look would drop, as the module docstring sets out, in a run
-        without a sink; whether an answer is left for ``_fetch_for``."""
+        memo-look would drop, skipping those whose repeat can add nothing,
+        as the module docstring sets out, in a run without a sink; whether
+        an answer is left for ``_fetch_for``."""
         cell = node.items[1]
         if cell is None or type(cell[0]) is not Node:
             return True
@@ -588,30 +566,45 @@ class TPEngine:
             else:
                 return True
         # the run of answers the memo-look would drop, as far as their two
-        # steps each fit in the budget; a marked call takes one, as its
-        # repeats are skipped after that.  A memo-look that reads the call's
-        # variables in order reads each answer as it is stored
-        answers, seen = node.table.answers, otbl._seen
+        # steps each fit in the budget, and the answers skipped among them,
+        # which take no step.  A memo-look that reads the call's variables
+        # in order reads each answer as it is stored
+        tbl, seen = node.table, otbl._seen
+        answers, ground = tbl.answers, tbl.ground
         as_stored = proj == list(range(len(call_vars)))
-        first = end = node.answer_ptr
-        limit = min(first + 1 if len(node.items) == 3 else len(answers),
-                    first + (self.step_budget - self._steps) // 2)
-        while end < limit:
+        key, done = self._projected(node) if len(node.items) == 4 else (None, None)
+        room = (self.step_budget - self._steps) // 2
+        end = node.answer_ptr
+        stop = end + room  # moved past each answer skipped
+        while end < len(answers):
             stored = answers[end]
-            if not _ground(stored) or (stored if as_stored else tuple(
-                    [stored[p] if type(p) is int else p for p in proj])) not in seen:
+            if key is not None:
+                k = key(stored)
+                if k in done:
+                    skip = len(answers) - end if key is _EMPTY else 1
+                    end += skip
+                    stop += skip
+                    continue
+                # an answer not taken here is fetched next
+                done.add(k)
+            if end == stop or not (ground or _ground(stored)) or (
+                    stored if as_stored else tuple(
+                        [stored[p] if type(p) is int else p for p in proj])) not in seen:
                 break
             end += 1
-        if end == first:
+        taken = room - (stop - end)
+        if not taken:
             return True
-        # per answer, two steps and the child's node number: the child's
-        # memo-look, a duplicate with nothing for the owner to fetch, so the
-        # child backtracks, and the node's next
+        # per answer taken, two steps and the child's node number: the
+        # child's memo-look, a duplicate with nothing for the owner to
+        # fetch, so the child backtracks, and the node's next
         node.answer_ptr = end
         node.fetch_mark = self.tables.memo_count
-        self._steps += 2 * (end - first)
-        self._next_id += end - first
-        return end < len(answers) and not self._skips_repeats(node)
+        if key is not None:
+            node.scan, node.done = end, done
+        self._steps += 2 * taken
+        self._next_id += taken
+        return end < len(answers)
 
     def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
         """Consume the owner's next unconsumed answer, which the caller has
@@ -619,11 +612,14 @@ class TPEngine:
         tbl = owner.table
         pos = owner.answer_ptr
         owner.answer_ptr = pos + 1
-        owner.fetch_mark = self.tables.memo_count
+        memo_count = self.tables.memo_count
+        if owner.fetch_mark != memo_count:
+            # the first fetch since a memo: the projections start here
+            owner.fetch_mark, owner.scan = memo_count, ~pos
         stored = tbl.answers[pos]
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
-        tup = rename_apart(stored, self._fresh)
+        tup = stored if tbl.ground else rename_apart(stored, self._fresh)
         child = self._register(node.items[1], node, source, dict(zip(owner.call_vars, tup)))
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
@@ -657,7 +653,10 @@ class TPEngine:
             node.copy_vars = tuple(copy.values())
 
         if node.anc == -1 and not self._ancestor_variant(node):
+            # a call that did not make the table runs its clauses again
             node.anc = 0
+            if tbl.cands is None:
+                tbl.cands = self._candidates(tbl)
 
         if node.anc == 0:
             while True:
@@ -682,6 +681,8 @@ class TPEngine:
                 node.iteration_pass += 1
                 # _clause_child skips the clauses whose bit is clear
                 node.clause_ptr = 0
+                if tbl.cands is None:
+                    tbl.cands = self._candidates(tbl)
                 if self._sink is not None:
                     self._sink(event("iteration-start", node=node.id,
                                      iteration=node.iteration_pass))
@@ -706,6 +707,32 @@ class TPEngine:
             cell = cell[1]
         return False
 
+    def _candidates(self, tbl: Table) -> list[int]:
+        """The positions of the clauses whose status bit is set and whose
+        head the table's key matches.  Every call of the table resolves a
+        renamed copy of its key, and a clear bit is never set again, so
+        these are the clauses any later call can resolve.  The match draws
+        from a ``FreshVars`` of its own, so the run's variables are not
+        moved."""
+        args = tbl.key.args
+        pred = (tbl.key.functor, len(args))
+        clauses = self.program.by_predicate.get(pred, ())
+        if clauses and args and type(args[0]) is Const:
+            positions = self._const_first[pred].get(args[0].name, self._open_first[pred])
+        else:
+            positions = range(len(clauses))
+        fresh, out = FreshVars(), []
+        for i in positions:
+            if not tbl.clause_status[i]:
+                continue
+            cl = clauses[i]
+            tmpl = self._templates.get(id(cl))
+            if tmpl is None:
+                tmpl = self._templates[id(cl)] = _compile(cl.head, cl.body, self.program.tabled)
+            if _match(tmpl[1], args, [None] * tmpl[0], fresh, self.occurs_check) is not None:
+                out.append(i)
+        return out
+
     def _clause_child(self, node: Node) -> Node | None:
         atom = node.atom
         if atom is None:
@@ -719,13 +746,15 @@ class TPEngine:
         # anc is -1, 0 or the clause j an ancestor variant is in; clauses at
         # positions below j have ordinals up to j, so a variant skips them
         start = max(node.clause_ptr, node.anc)
-        if clauses and args and type(args[0]) is Const:
-            # first-argument indexing: skip only clauses whose head the
-            # matcher would reject, so the trace is the same
+        # a table's candidates, or first-argument indexing: skip only clauses
+        # whose head the matcher would reject, so the trace is the same
+        cands = tbl.cands if tabled else None
+        if cands is None and clauses and args and type(args[0]) is Const:
             cands = self._const_first[key].get(args[0].name, self._open_first[key])
-            positions = islice(cands, bisect_left(cands, start), None)
-        else:
+        if cands is None:
             positions = range(start, len(clauses))
+        else:
+            positions = islice(cands, bisect_left(cands, start), None)
         fresh = self._fresh
         for i in positions:
             if tabled and not tbl.clause_status[i]:
@@ -744,7 +773,7 @@ class TPEngine:
             node.clause_ptr = i + 1
 
             rest = (node, node.items[1]) if tabled else node.items[1]
-            child = self._register(_push(body, rest, marked), node, "clause", theta)
+            child = self._register(_push(body, rest, marked, regs), node, "clause", theta)
             if self._sink is not None:
                 anc = {"anc": node.anc} if tabled else {}
                 self._expanded(child, clause=cl.label, ord=cl.ordinal, **anc)

@@ -27,7 +27,8 @@ variables, so memoizing one completes the table at once; a ground
 subgoal's empty tuple is the degenerate case, and the only ground answer
 that completes its table.  A table's answers are a list in derivation
 order and a set that the engine also reads, to tell whether a ground
-answer is already held.
+answer is already held, and the table keeps whether every answer is
+ground, so that the engine uses each as stored without walking it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = ["Table", "TableStore"]
 class Table:
     """One memoized subgoal: answers, per-clause status bits, completion."""
 
-    __slots__ = ("key", "answers", "clause_status", "comp", "_seen")
+    __slots__ = ("key", "answers", "clause_status", "comp", "_seen", "ground", "cands")
 
     def __init__(self, key: Struct) -> None:
         self.key = key
@@ -63,6 +64,10 @@ class Table:
         self.clause_status: list[int] = []
         self.comp = False
         self._seen: set[tuple[Term, ...]] = set()
+        self.ground = True  # whether every answer is ground
+        # the positions of the clauses the key matches, once the engine
+        # has run the clauses again
+        self.cands: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"<Table {format_term(self.key)} answers={len(self.answers)} comp={int(self.comp)}>"
@@ -122,6 +127,7 @@ class TableStore:
             return tup, False
         table.answers.append(tup)
         table._seen.add(tup)
+        table.ground = table.ground and ground
         self.memo_count += 1
         if not tup or (not ground and all(type(t) is Var for t in tup)
                        and len(set(tup)) == len(tup)):

@@ -76,7 +76,9 @@ class Var:
         return self is other or (type(other) is Var and other.id == self.id)
 
     def __hash__(self) -> int:
-        return self.id
+        # CPython hashes -1 as -2, so the id itself would give the
+        # canonical _0 and _1 one hash; doubled, no two ids share one
+        return self.id << 1
 
     def __repr__(self) -> str:
         return f"Var({self.id}, {self.name!r})"

@@ -2,15 +2,16 @@
 
 Usage::
 
-    python tests/differential.py OLD_TREE NEW_TREE [--seeds A-B]
+    python tests/differential.py OLD_TREE NEW_TREE [--seeds A-B] [--results]
 
 Each run is a ``generate_program`` seed (0-499 by default), as generated or
 through one of the rewrites in ``rewrites.py``, solved by ``TPEngine`` at a
 2,000-step budget with the default options, under ``strict_alg2`` or under
 ``occurs_check``, traced and untraced.  Per run it records how the run
 ended, the count and sha256 of the ``repr()`` of its raw answers (which
-names each variable with its id), its steps, its ``_next_id``, and the count
-and sha256 of ``tables.dump()`` and, when traced, of the formatted events.
+names each variable with its id) and of its canonical answers in order, its
+steps, its ``_next_id``, and the count and sha256 of ``tables.dump()`` and,
+when traced, of the formatted events.
 
 Each tree runs in a child process of its own, with ``PYTHONPATH=<tree>/src``
 and a 1 GB address-space limit; a run that takes more than 1 s, or runs out
@@ -19,6 +20,12 @@ children run side by side, one per tree.  The summary line gives how many
 runs were compared, how many ended on both sides and how many were capped
 on either side; each run that ended on both sides and differs is listed
 with the fields that differ, and the exit status is then 1.
+
+``--results`` judges a change that saves steps, which moves the step and
+node counts, the events, the fresh variables' ids and where the budget
+stops a run.  It compares only how each run ends and, where both sides
+complete, the canonical answers in order and the tables.  A run whose
+status changed is listed apart and does not fail the comparison.
 """
 
 import argparse
@@ -34,6 +41,7 @@ STEP_BUDGET = 2_000
 CAP_S = 1.0
 CAP_AS = 1 << 30
 FIELDS = ("status", "answers", "steps", "next_id", "dump", "events")
+RESULTS = ("canonical", "dump")
 
 
 def seed_range(text):
@@ -53,6 +61,7 @@ def run_one(src, query, options, traced):
     count, tables and events."""
     from lintab.engine import TPEngine
     from lintab.program import parse_program
+    from lintab.terms import canonicalize, format_tuple
     from lintab.trace import format_event
 
     events = [] if traced else None
@@ -60,8 +69,9 @@ def run_one(src, query, options, traced):
                       sink=None if events is None else events.append, **options)
     # CyclicTermError without the occurs check, or a fault, is the status
     status, answers, steps, next_id, dump = solved(engine, query, (Exception,))
-    record = {"status": status, "answers": digest(map(repr, answers)), "steps": steps,
-              "next_id": next_id, "dump": digest(dump)}
+    record = {"status": status, "answers": digest(map(repr, answers)),
+              "canonical": digest(format_tuple(canonicalize(a)) for a in answers),
+              "steps": steps, "next_id": next_id, "dump": digest(dump)}
     if traced:
         record["events"] = digest(map(format_event, events))
     return record
@@ -120,12 +130,35 @@ def compare(old, new):
     return len(old.keys() & new.keys()), ended, capped, differ
 
 
+def compare_results(old, new):
+    """Counts of compared, both-complete and capped runs, per run whose
+    status changed the two statuses, and per run that completes on both
+    sides and differs the fields of ``RESULTS`` that differ."""
+    complete = capped = 0
+    changed, differ = [], []
+    for run in sorted(old.keys() & new.keys()):
+        a, b = old[run], new[run]
+        if "capped" in a or "capped" in b:
+            capped += 1
+        elif a["status"] != b["status"]:
+            changed.append((run, a["status"], b["status"]))
+        elif a["status"] == "complete":
+            complete += 1
+            fields = [f for f in RESULTS if a.get(f) != b.get(f)]
+            if fields:
+                differ.append((run, fields, a, b))
+    return len(old.keys() & new.keys()), complete, capped, changed, differ
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", nargs="?", help="the source tree to compare against")
     parser.add_argument("new", nargs="?", help="the source tree under test")
     parser.add_argument("--seeds", type=seed_range, default=range(500),
                         help="generate_program seeds, A-B inclusive (default 0-499)")
+    parser.add_argument("--results", action="store_true",
+                        help="compare only statuses, and canonical answers and tables "
+                             "where both sides complete")
     parser.add_argument("--child", metavar="A-B", type=seed_range, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
@@ -137,14 +170,21 @@ def main(argv=None):
         (old, old_rc), (new, new_rc) = pool.map(lambda t: run_tree(t, args.seeds),
                                                 (args.old, args.new))
     expected = len(args.seeds) * len(REWRITES) * len(MODES) * 2
-    compared, ended, capped, differ = compare(old, new)
+    if args.results:
+        compared, ended, capped, changed, differ = compare_results(old, new)
+        for run, before, after in changed:
+            print(" ".join(map(str, run)), "status", before, "->", after)
+    else:
+        compared, ended, capped, differ = compare(old, new)
     for run, fields, a, b in differ:
         print(" ".join(map(str, run)), "differs in", ", ".join(fields))
         for f in fields:
             print(f"  {f}: {a.get(f)} -> {b.get(f)}")
     old_only = sum("capped" in r for r in old.values())
     new_only = sum("capped" in r for r in new.values())
-    print(f"{compared} of {expected} runs compared: {ended} ended on both sides, "
+    ends = (f"{ended} complete on both sides, {len(changed)} changed status"
+            if args.results else f"{ended} ended on both sides")
+    print(f"{compared} of {expected} runs compared: {ends}, "
           f"{capped} capped on either side ({old_only} on the old tree, {new_only} on the new), "
           f"{len(differ)} differ")
     failed = [t for t, rc, got in ((args.old, old_rc, old), (args.new, new_rc, new))

@@ -728,6 +728,28 @@ PINNED = {
          "TB(p(b,_0)): answers=[(a)] status=[1,1] comp=0"],
         26, 53, "6e69e6b196e0ffc4022c4ae592736030af3a8b0d0733d0d503a0465c36e5176e",
     ),
+    # p(X,Y) has the own variable Y: (a,b), (_0,d) and (f(_0),a) repeat
+    # the projections (a), (_0) and (f(_0)) of answers fetched since the
+    # last new memo, and (f(_0),a) is skipped
+    "projected-non-ground": (
+        ":- table p/2.\n:- table q/1.\np(a,Y).\np(X,c).\np(f(Z),Z).\np(a,b).\np(X,d).\n"
+        "p(f(W),a).\nq(X) :- r(X).\nq(X) :- p(X,Y), r(X).\nr(a).\nr(f(e)).\nr(g).\n"
+        "t :- p(A,B), none.\nt.\n", "t, q(X)",
+        ["(a)", "(f(e))", "(g)"],
+        ["TB(p(_0,_1)): answers=[(a,_0),(_0,c),(f(_0),_0),(a,b),(_0,d),(f(_0),a)]"
+         " status=[0,0,0,0,0,0] comp=1", "TB(q(_0)): answers=[(a),(f(e)),(g)] status=[0,0] comp=1"],
+        52, 91, "42d4eb31c29a142a52ce776d44f9b2f67f18455faab5f59fc92ec673288f10b4",
+    ),
+    # (a,2) repeats the projection (a) of (a,1), whose r(a) failed, and is
+    # skipped; (b,1) reaches the cut
+    "projected-then-cut": (
+        ":- table p/2.\n:- table q/1.\np(a,1).\np(a,2).\np(b,1).\np(b,2).\np(c,1).\n"
+        "q(X) :- p(X,Y), r(X), !.\nq(c).\nr(b).\nr(c).\nt :- p(A,B), none.\nt.\n", "t, q(X)",
+        ["(b)"],
+        ["TB(p(_0,_1)): answers=[(a,1),(a,2),(b,1),(b,2),(c,1)] status=[0,0,0,0,0] comp=1",
+         "TB(q(_0)): answers=[(b)] status=[0,0] comp=1"],
+        28, 53, "1d846c97982bb499ffab5d909854035352ab158a138a3b6de18b0604ba7de726",
+    ),
     "follower-new-before-the-pass": (
         ":- table q/1.\n:- table p/0.\nq(a).\np :- p.\n", "q(X), p",
         [],
@@ -897,14 +919,19 @@ def test_a_shared_ground_term_is_passed_through_whole():
 
 def test_existential_tabled_goals_are_marked_on_the_template():
     clause = parse_program(
-        "h(X) :- p(X), q(Y,Y), p(Z), !, p(U), s(U), p(a), p(W), s(V), s(T), p(T), p(f(R)).\n"
+        "h(X) :- p(X), q(Y,Y), p(Z), !, p(U), s(U), p(a), p(W), s(V), s(T), p(T), p(f(R)),"
+        " q(X,S), q(T,f(X)).\n"
     ).clauses[0]
     tabled = frozenset({("p", 1), ("q", 2)})
     # p(X) has a head variable, p(U) shares U with a later goal and p(T)
     # with an earlier one, p(a) has no variable, s(V) is not tabled;
-    # q(Y,Y) repeats Y only in itself, and p(f(R)) has R inside a compound
-    assert _compile(clause.head, clause.body, tabled)[3] == (1, 2, 7, 11)
-    assert _compile(clause.head, clause.body, frozenset())[3] == ()
+    # q(Y,Y) repeats Y only in itself, and p(f(R)) has R inside a compound.
+    # q(X,S) has an own variable beside a head one, q(T,f(X)) none; each
+    # mark is a position and its own variables' slots, numbered X, Y, Z, U,
+    # W, V, T, R, S
+    assert _compile(clause.head, clause.body, tabled)[3] == {
+        1: (1,), 2: (2,), 7: (4,), 11: (7,), 12: (8,)}
+    assert _compile(clause.head, clause.body, frozenset())[3] == {}
 
 
 def test_the_marks_of_a_long_clause_take_linear_time():
@@ -989,6 +1016,20 @@ def test_existential_goals_cut_the_steps_of_a_cross_product():
         bottomup_solve(program, atoms).answers, universe)
 
 
+def test_projected_goals_cut_the_steps_of_a_rerun():
+    # p(U,X) :- p(X,Y), p(e,U): p(X,Y) has the own variable Y, and its
+    # answers that repeat a value of X since the last new memo are skipped;
+    # the parent engine took 21,094 steps
+    src, query = generate_program(random.Random(246))
+    program = parse_program(src)
+    atoms, _ = parse_query(query)
+    r = tp_solve(program, atoms)
+    assert (r.status, r.engine._steps) == ("complete", 9_016)
+    universe = constants_of(program, atoms)
+    assert ground_expand(r.answers, universe) == ground_expand(
+        bottomup_solve(program, atoms).answers, universe)
+
+
 def test_a_new_table_needs_no_ancestor_search(monkeypatch):
     # every call makes a new table, so no call has an ancestor variant
     calls = []
@@ -1026,16 +1067,17 @@ def shown(src, query, options):
 
 
 def untraced(src, query, options):
-    """``solved`` of a run without a sink, and the steps before and after
-    each run of answers it took in place."""
+    """``solved`` of a run without a sink, and per run of answers it took in
+    place the steps before and after and how many answers it skipped."""
     engine = TPEngine(parse_program(src), **options)
     take, spans = engine._take_in_place, []
 
     def record(node):
-        before = engine._steps
+        before, first = engine._steps, node.answer_ptr
         left = take(node)
         if engine._steps > before:
-            spans.append((before, engine._steps))
+            taken = (engine._steps - before) // 2
+            spans.append((before, engine._steps, node.answer_ptr - first - taken))
         return left
 
     engine._take_in_place = record
@@ -1044,7 +1086,7 @@ def untraced(src, query, options):
 
 def taken_in_place(spans):
     """How many answers the runs in ``spans`` took, two steps each."""
-    return sum(after - before for before, after in spans) // 2
+    return sum(after - before for before, after, _ in spans) // 2
 
 
 def traced_and_untraced(runs, seconds=0):
@@ -1131,26 +1173,38 @@ class _DumpAtEveryCheck(int):
         return False
 
 
+# q(X) :- p(X,Y) takes (a,1) and (b,1) in place and skips (a,2), (a,3)
+# and (b,2), whose projections onto X it has fetched, before it fetches
+# (c,1); after (c)'s new memo it takes (b,3) and (c,2) in place
+PROJECTED_IN_PLACE = (":- table p/2.\n:- table q/1.\np(a,1).\np(a,2).\np(b,1).\np(a,3).\n"
+                      "p(b,2).\np(c,1).\np(b,3).\np(c,2).\nq(a).\nq(b).\nq(X) :- p(X,Y).\n"
+                      "t :- p(A,B), none.\nt.\n")
+
+
 def test_untraced_runs_stop_as_traced_runs_at_every_budget():
     # without a sink the run of answers taken in place does its own step
     # arithmetic, so at every budget it must stop where the traced run,
     # which fetches every answer, does
-    inside = []
-    for n in (6, 20):
-        src = graph_program(n, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True)
+    inside, skipped = [], []
+    runs = [(graph_program(n, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True), "reach(n0,Y)")
+            for n in (6, 20)] + [(PROJECTED_IN_PLACE, "t, q(X)")]
+    for src, query in runs:
         program = parse_program(src)
-        atoms, _ = parse_query("reach(n0,Y)")
+        atoms, _ = parse_query(query)
         traced = TPEngine(program, sink=[].append)
         traced.step_budget = watch = _DumpAtEveryCheck(DEFAULT_STEP_BUDGET)
         watch.engine, watch.dumps = traced, {}
         list(traced.solve(atoms))
         assert sorted(watch.dumps) == list(range(traced._steps))
-        _, spans = untraced(src, "reach(n0,Y)", {})
+        _, spans = untraced(src, query, {})
         for budget in range(1, traced._steps):
             steps, dump, where = stopped_at(TPEngine(program, step_budget=budget), atoms)
             assert (steps, dump) == (budget + 1, watch.dumps[budget])
             assert where == "solve"
-            inside += [budget - before for before, after in spans if before < budget < after]
+            inside += [budget - before for before, after, _ in spans if before < budget < after]
+        skipped.append(sum(s for *_, s in spans))
     # budgets that run out inside a run of answers taken in place, at the
-    # memo-look's step and at the call's next
+    # memo-look's step and at the call's next; the last program's runs
+    # skip answers between those they take
     assert len(inside) >= 10 and {d % 2 for d in inside} == {0, 1}
+    assert skipped == [0, 0, 3]

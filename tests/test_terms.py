@@ -321,6 +321,15 @@ def test_equality_is_structural_and_agrees_with_hashing(pair, hashed_t, hashed_u
         assert hash(t) == hash(u)
 
 
+def test_canonical_and_fresh_variables_hash_apart():
+    # CPython hashes -1 as -2, so hashed by their ids the canonical _0 and
+    # _1 would share a hash, and every lookup that met both would compare
+    canonical = canonicalize(tuple(Var(k, "V") for k in range(64)))
+    fresh = FreshVars()
+    variables = list(canonical) + [fresh.new() for _ in range(64)]
+    assert len({v.id for v in variables}) == len({hash(v) for v in variables}) == 128
+
+
 def subterms(t):
     stack = [t]
     while stack:
