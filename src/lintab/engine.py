@@ -128,6 +128,29 @@ event is emitted at the step it records and every ``expand`` is a node the
 engine built; it shows the same answers, tables and steps, and ends with
 the same node count, as the run without a sink.
 
+A memo-look whose owner has an unconsumed answer fetches it, and if the
+owner was its caller's last goal, the child's one step is the caller's
+memo-look.  A run without a sink passes a new answer up such a chain in
+place, link by link, while the answer at the owner's cursor is ground,
+each of the caller's copy variables reads as one of the owner's call
+variables or a ground term, and the child's step fits in the budget: it
+moves the owner's cursor as the fetch would, takes the child's node number
+and step, memoizes the tuple the caller's memo-look would read, built from
+the stored answer, and goes on with the caller as the owner.  The first
+link that fails a condition is fetched as usual, with the continuation the
+chain has reached as the child's goal list, under the first memo-look's
+node; an owner with nothing to fetch backtracks from that node.  This is
+exact.  The skipped child's bindings are read only by the next memo-look,
+as the clauses resolve a fresh copy of the key and nothing after the
+caller's memo-look names the owner's call variables.  A memo-look node
+passes backtracking straight through and is never a cut's origin, so the
+child hung under the first memo-look node pops, restores the store and
+prunes as it would under the last skipped child.  The reading of the
+caller's copy is fixed once the owner's node exists, as the call's
+ancestors made the bindings that decide it and the owner's call variables
+are unbound wherever its memo-look is pending or it takes answers in
+place, so the node keeps it for both.
+
 A tabled call resolves a renamed copy of its table key, so whether the
 matcher rejects a clause's head is the same for every call of the table.
 When a table's clauses run again, in a leader's next pass or in a call
@@ -155,7 +178,7 @@ from typing import Callable, Iterator, Sequence
 
 from .program import Cut, PredKey, Program, parse_program, parse_query
 from .tables import Table, TableStore
-from .templates import Template, _build, _compile
+from .templates import Template, _build, _compile, _match
 from .terms import (
     Const,
     FreshVars,
@@ -164,13 +187,12 @@ from .terms import (
     Term,
     Var,
     _ground,
-    _occurs,
     apply,
     apply_tuple,
     canonicalize,
     max_var_id,
     rename_apart,
-    unify,
+    unify,  # unused here, but bench/layers.py wraps lintab.engine.unify
     vars_of,
 )
 from .trace import TraceEvent, event
@@ -225,58 +247,6 @@ def _push(items: Sequence, rest: Goals, marked: dict[int, tuple] | None = None,
 _EMPTY = itemgetter(slice(0, 0))
 
 
-def _match(head: tuple, args: tuple, regs: list, fresh: FreshVars,
-           occurs_check: bool) -> Subst | None:
-    """Match a call's arguments against a head template in place: the
-    bindings of the call's variables, none of which the store binds, and of
-    fresh ones, that make the two equal; None if there are none.
-
-    A slot's first occurrence takes the call's argument as it is.  A
-    compound binds an unbound call variable to the term it builds, and
-    otherwise matches argument by argument; a repeated slot unifies, under
-    the bindings made so far, which are never applied while matching.
-    """
-    theta: Subst = {}
-    stack: list = []
-    for t, a in zip(head, args):
-        while True:
-            if type(t) is int:
-                r = regs[t]
-                if r is None:
-                    regs[t] = a
-                elif unify(r, a, occurs_check, theta) is None:
-                    return None
-            else:
-                while type(a) is Var:
-                    b = theta.get(a)
-                    if b is None:
-                        break
-                    a = b
-                if type(t) is tuple:
-                    if type(a) is Var:
-                        b = _build(t, regs, fresh)
-                        if occurs_check and _occurs(a, b, theta):
-                            return None
-                        theta[a] = b
-                    elif type(a) is Struct and a.functor == t[0] and len(a.args) == len(t[1]):
-                        stack.extend(zip(reversed(t[1]), reversed(a.args)))
-                    else:
-                        return None
-                elif a is t:
-                    pass
-                elif type(a) is Var:
-                    theta[a] = t
-                elif type(t) is Const:
-                    if type(a) is not Const or a.name != t.name:
-                        return None
-                elif unify(a, t, occurs_check, theta) is None:
-                    return None
-            if not stack:
-                break
-            t, a = stack.pop()
-    return theta
-
-
 class Node:
     """One derivation step on the stack.  A tabled call's node is also the
     memo-look planted behind its clause bodies."""
@@ -302,6 +272,7 @@ class Node:
         "fetch_mark",
         "scan",
         "done",
+        "reads",
     )
 
     def __init__(self, id_: int, parent: "Node | None", items: Goals,
@@ -328,6 +299,7 @@ class Node:
         # ``done`` holds the projections of the answers passed since, up to
         # answer ``scan``, once a goal with own variables has made it; until
         # then ``scan`` is ~ the position of that fetch
+        self.reads: tuple | bool | None = None  # see ``_reading``; None until worked out
 
     def __repr__(self) -> str:
         return f"<Node {self.id} {self.origin_kind}>"
@@ -480,8 +452,24 @@ class TPEngine:
         tup, new = self.tables.memo(tbl, tuple(read))
         if self._sink is not None:
             self._sink(event("memo", table=tbl.key, tuple=tup, new=int(new), comp=int(tbl.comp)))
-        if origin.answer_ptr < len(tbl.answers) and not self._skips_repeats(origin):
-            return self._fetch_for(node, origin, "lookup")
+        # a run without a sink passes a ground answer up to the memo-look
+        # it would fetch for in place, as the module docstring sets out
+        while origin.answer_ptr < len(tbl.answers) and not self._skips_repeats(origin):
+            stored = tbl.answers[origin.answer_ptr]
+            reads = origin.reads
+            if reads is None:
+                reads = self._reading(origin)
+            if (reads is False or self._sink is not None or self._steps >= self.step_budget
+                    or not (tbl.ground or _ground(stored))):
+                return self._fetch_for(node, origin, "lookup")
+            # the fetch's child, and its step: the next memo-look
+            self._consume(origin)
+            self._steps += 1
+            self._next_id += 1
+            origin = origin.items[1][0]
+            tbl = origin.table
+            self.tables.memo(tbl, stored if reads is True else tuple(
+                [stored[p] if type(p) is int else p for p in reads]))
         return self._backtrack(node)
 
     def _skips_repeats(self, owner: Node) -> bool:
@@ -537,41 +525,20 @@ class TPEngine:
         memo-look would drop, skipping those whose repeat can add nothing,
         as the module docstring sets out, in a run without a sink; whether
         an answer is left for ``_fetch_for``."""
-        cell = node.items[1]
-        if cell is None or type(cell[0]) is not Node:
+        reads = node.reads
+        if reads is None:
+            reads = self._reading(node)
+        if reads is False:
             return True
-        owner = cell[0]
+        owner = node.items[1][0]
         otbl = owner.table
         if owner.answer_ptr < len(otbl.answers):
             return True
-        # what the memo-look reads, per copy variable: the position of the
-        # call variable it reads as, or the ground term it reads as
-        store, call_vars = self._store, node.call_vars
-        proj = []
-        for v in owner.copy_vars:
-            while type(v) is Var:
-                b = store.get(v)
-                if b is None:
-                    break
-                v = b
-            if type(v) is Var:
-                for i, c in enumerate(call_vars):
-                    if c is v:
-                        proj.append(i)
-                        break
-                else:
-                    return True
-            elif _ground(v):
-                proj.append(v)
-            else:
-                return True
         # the run of answers the memo-look would drop, as far as their two
         # steps each fit in the budget, and the answers skipped among them,
-        # which take no step.  A memo-look that reads the call's variables
-        # in order reads each answer as it is stored
+        # which take no step
         tbl, seen = node.table, otbl._seen
         answers, ground = tbl.answers, tbl.ground
-        as_stored = proj == list(range(len(call_vars)))
         key, done = self._projected(node) if len(node.items) == 4 else (None, None)
         room = (self.step_budget - self._steps) // 2
         end = node.answer_ptr
@@ -588,8 +555,8 @@ class TPEngine:
                 # an answer not taken here is fetched next
                 done.add(k)
             if end == stop or not (ground or _ground(stored)) or (
-                    stored if as_stored else tuple(
-                        [stored[p] if type(p) is int else p for p in proj])) not in seen:
+                    stored if reads is True else tuple(
+                        [stored[p] if type(p) is int else p for p in reads])) not in seen:
                 break
             end += 1
         taken = room - (stop - end)
@@ -606,21 +573,62 @@ class TPEngine:
         self._next_id += taken
         return end < len(answers)
 
-    def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
-        """Consume the owner's next unconsumed answer, which the caller has
-        checked there is, and register the continuation under ``node``."""
-        tbl = owner.table
+    def _reading(self, node: Node) -> tuple | bool:
+        """What the memo-look at the head of the call's continuation reads
+        once the call's variables are bound to an answer, per copy
+        variable of its owner: the position of the call variable it reads
+        as, or the ground term it reads as; True if it reads the call's
+        variables in order, so each answer as it is stored, and False if
+        there is no such memo-look or it reads anything else.  Only the
+        call's ancestors bind what decides it, and the call's variables are
+        unbound wherever this is asked, so it is worked out once, while
+        ``node.reads`` is None, and kept there."""
+        node.reads = False  # until the reading is shown
+        cell = node.items[1]
+        if cell is None or type(cell[0]) is not Node:
+            return False
+        store, call_vars, proj = self._store, node.call_vars, []
+        for v in cell[0].copy_vars:
+            while type(v) is Var:
+                b = store.get(v)
+                if b is None:
+                    break
+                v = b
+            if type(v) is Var:
+                for i, c in enumerate(call_vars):
+                    if c is v:
+                        proj.append(i)
+                        break
+                else:
+                    return False
+            elif _ground(v):
+                proj.append(v)
+            else:
+                return False
+        node.reads = reads = proj == list(range(len(call_vars))) or tuple(proj)
+        return reads
+
+    def _consume(self, owner: Node) -> int:
+        """Move the owner's cursor past its next unconsumed answer, which
+        the caller has checked there is; its position."""
         pos = owner.answer_ptr
         owner.answer_ptr = pos + 1
         memo_count = self.tables.memo_count
         if owner.fetch_mark != memo_count:
             # the first fetch since a memo: the projections start here
             owner.fetch_mark, owner.scan = memo_count, ~pos
+        return pos
+
+    def _fetch_for(self, node: Node, owner: Node, source: str) -> Node:
+        """Consume the owner's next unconsumed answer, which the caller has
+        checked there is, and register the continuation under ``node``."""
+        tbl = owner.table
+        pos = self._consume(owner)
         stored = tbl.answers[pos]
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
         tup = stored if tbl.ground else rename_apart(stored, self._fresh)
-        child = self._register(node.items[1], node, source, dict(zip(owner.call_vars, tup)))
+        child = self._register(owner.items[1], node, source, dict(zip(owner.call_vars, tup)))
         if self._sink is not None:
             self._expanded(child, tuple=stored, pos=pos)
         return child

@@ -8,7 +8,7 @@ machine's head and body instructions do.
 from __future__ import annotations
 
 from .program import Cut, PredKey
-from .terms import FreshVars, Struct, Term, Var, _ground
+from .terms import Const, FreshVars, Struct, Subst, Term, Var, _ground, _occurs, unify
 
 
 # A clause template numbers the clause's variables as slots, in first-
@@ -105,3 +105,55 @@ def _build(tmpl: tuple, regs: list, fresh: FreshVars) -> Struct:
             if not stack:
                 return term
             stack[-1][2].append(term)
+
+
+def _match(head: tuple, args: tuple, regs: list, fresh: FreshVars,
+           occurs_check: bool) -> Subst | None:
+    """Match a call's arguments against a head template in place: the
+    bindings of the call's variables, none of which the store binds, and of
+    fresh ones, that make the two equal; None if there are none.
+
+    A slot's first occurrence takes the call's argument as it is.  A
+    compound binds an unbound call variable to the term it builds, and
+    otherwise matches argument by argument; a repeated slot unifies, under
+    the bindings made so far, which are never applied while matching.
+    """
+    theta: Subst = {}
+    stack: list = []
+    for t, a in zip(head, args):
+        while True:
+            if type(t) is int:
+                r = regs[t]
+                if r is None:
+                    regs[t] = a
+                elif unify(r, a, occurs_check, theta) is None:
+                    return None
+            else:
+                while type(a) is Var:
+                    b = theta.get(a)
+                    if b is None:
+                        break
+                    a = b
+                if type(t) is tuple:
+                    if type(a) is Var:
+                        b = _build(t, regs, fresh)
+                        if occurs_check and _occurs(a, b, theta):
+                            return None
+                        theta[a] = b
+                    elif type(a) is Struct and a.functor == t[0] and len(a.args) == len(t[1]):
+                        stack.extend(zip(reversed(t[1]), reversed(a.args)))
+                    else:
+                        return None
+                elif a is t:
+                    pass
+                elif type(a) is Var:
+                    theta[a] = t
+                elif type(t) is Const:
+                    if type(a) is not Const or a.name != t.name:
+                        return None
+                elif unify(a, t, occurs_check, theta) is None:
+                    return None
+            if not stack:
+                break
+            t, a = stack.pop()
+    return theta

@@ -1,17 +1,19 @@
-"""Run the sweep grid on two source trees and report every run that differs.
+"""Run the sweep grid and graphs on two source trees, and list runs that differ.
 
 Usage::
 
     python tests/differential.py OLD_TREE NEW_TREE [--seeds A-B] [--results]
 
 Each run is a ``generate_program`` seed (0-499 by default), as generated or
-through one of the rewrites in ``rewrites.py``, solved by ``TPEngine`` at a
-2,000-step budget with the default options, under ``strict_alg2`` or under
-``occurs_check``, traced and untraced.  Per run it records how the run
-ended, the count and sha256 of the ``repr()`` of its raw answers (which
-names each variable with its id) and of its canonical answers in order, its
-steps, its ``_next_id``, and the count and sha256 of ``tables.dump()`` and,
-when traced, of the formatted events.
+through one of the rewrites in ``rewrites.py``, or a right- or
+left-recursive ``reach(n0,Y)`` over one of the graphs of ``runs.graphs``
+(rings and random digraphs, the same whatever the seeds), solved by
+``TPEngine`` at a 2,000-step budget with the default options, under
+``strict_alg2`` or under ``occurs_check``, traced and untraced.  Per run
+it records how the run ended, the count and sha256 of the ``repr()`` of
+its raw answers (which names each variable with its id) and of its
+canonical answers in order, its steps, its ``_next_id``, and the count and
+sha256 of ``tables.dump()`` and, when traced, of the formatted events.
 
 Each tree runs in a child process of its own, with ``PYTHONPATH=<tree>/src``
 and a 1 GB address-space limit; a run that takes more than 1 s, or runs out
@@ -34,8 +36,9 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
-from runs import MODES, REWRITES, Capped, capped, digest, solved, sweep
+from runs import MODES, REWRITES, Capped, capped, digest, graphs, solved, sweep
 
 STEP_BUDGET = 2_000
 CAP_S = 1.0
@@ -82,7 +85,7 @@ def child(seeds):
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (CAP_AS, resource.getrlimit(resource.RLIMIT_AS)[1]))
-    for seed, name, src, query in sweep(seeds):
+    for seed, name, src, query in chain(sweep(seeds), graphs()):
         for mode, options in MODES.items():
             for traced in (True, False):
                 try:
@@ -169,7 +172,7 @@ def main(argv=None):
     with ThreadPoolExecutor(2) as pool:
         (old, old_rc), (new, new_rc) = pool.map(lambda t: run_tree(t, args.seeds),
                                                 (args.old, args.new))
-    expected = len(args.seeds) * len(REWRITES) * len(MODES) * 2
+    expected = (len(args.seeds) * len(REWRITES) + sum(1 for _ in graphs())) * len(MODES) * 2
     if args.results:
         compared, ended, capped, changed, differ = compare_results(old, new)
         for run, before, after in changed:

@@ -1,7 +1,7 @@
 """What the engine checks share: the time cap on a run, the record of a
-run, the digest of recorded lines and the sweep grid.  ``lintab`` is
-imported inside the functions only, as ``differential.py``'s parent
-process has no ``lintab`` on its path."""
+run, the digest of recorded lines, the sweep grid and the graph family.
+``lintab`` is imported inside the functions only, as ``differential.py``'s
+parent process has no ``lintab`` on its path."""
 
 import gc
 import hashlib
@@ -15,6 +15,9 @@ REWRITES = {"plain": lambda src, rng: src, "with_cuts": with_cuts,
             "with_functions": with_functions, "with_var_heads": with_var_heads}
 MODES = {"default": {}, "strict_alg2": {"strict_alg2": True},
          "occurs_check": {"occurs_check": True}}
+# name -> the recursive clause of reach/2
+RULES = {"right": "reach(X,Y) :- edge(X,Z), reach(Z,Y).",
+         "left": "reach(X,Y) :- reach(X,Z), edge(Z,Y)."}
 
 
 class Capped(BaseException):
@@ -84,3 +87,29 @@ def sweep(seeds, rewrites=REWRITES):
             rng = random.Random(seed)
             src, query = generate_program(rng)
             yield seed, name, REWRITES[name](src, rng), query
+
+
+def reach_program(edges, rule):
+    """Tabled ``reach/2`` with the recursive clause ``rule``, then
+    ``reach(X,X)``, over one ``edge`` fact per pair of node numbers in
+    ``edges``, in order."""
+    facts = [f"edge(n{a},n{b})." for a, b in edges]
+    return "\n".join([":- table reach/2.", rule, "reach(X,X).", *facts]) + "\n"
+
+
+def graphs():
+    """Per graph, then per rule of ``RULES``: a number, the graph's and the
+    rule's names, the program and the query ``reach(n0,Y)``.  The graphs
+    are the rings of 3 to 40 nodes, numbered by their size, and per seed 0
+    to 19 the digraphs of 4, 8, 12 and 16 nodes with 2N edges drawn at
+    random, numbered by their seed."""
+    rings = [(n, f"ring{n}", [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 41)]
+    drawn = []
+    for seed in range(20):
+        for n in (4, 8, 12, 16):
+            rng = random.Random(seed)
+            drawn.append((seed, f"digraph{n}",
+                          [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]))
+    for key, graph, edges in rings + drawn:
+        for name, rule in RULES.items():
+            yield key, f"{graph}-{name}", reach_program(edges, rule), "reach(n0,Y)"

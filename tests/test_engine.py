@@ -26,7 +26,7 @@ from lintab.terms import (
 )
 from lintab.trace import format_event
 from rewrites import with_cuts, with_functions, with_var_heads
-from runs import MODES, Capped, capped, digest, solved, sweep
+from runs import MODES, Capped, capped, digest, reach_program, solved, sweep
 from tracecheck import check_clause_skip, check_stack_discipline
 
 
@@ -298,8 +298,7 @@ def test_indexing_keeps_order_cut_and_resume_point():
 
 
 def graph_program(n, rule, cycle):
-    edges = [f"edge(n{i},n{(i + 1) % n if cycle else i + 1})." for i in range(n)]
-    return "\n".join([":- table reach/2.", rule, "reach(X,X).", *edges]) + "\n"
+    return reach_program([(i, (i + 1) % n if cycle else i + 1) for i in range(n)], rule)
 
 
 @pytest.mark.parametrize("rule, cycle, steps, events, answers", [
@@ -756,6 +755,49 @@ PINNED = {
         ["TB(q(_0)): answers=[(a)] status=[0] comp=1", "TB(p): answers=[] status=[1] comp=1"],
         6, 12, "bf63621cd20083d1953c3c2bb46785e0fa775ec2e21fadfd2982eb1b2aaed78b",
     ),
+    # r's new (a) is passed up to q and p in place; p's cursor is at the
+    # older (f(_0)), which the follower p(_) memoized, and is fetched
+    "chain-stopped-non-ground": (
+        ":- table p/1.\n:- table q/1.\n:- table r/1.\np(X) :- q(X).\np(f(_)).\n"
+        "q(X) :- p(_), none.\nq(X) :- r(X).\nr(a).\n", "p(X)",
+        ["(f(_0))", "(a)"],
+        ["TB(p(_0)): answers=[(f(_0)),(a)] status=[1,0] comp=1",
+         "TB(q(_0)): answers=[(a)] status=[1,0] comp=0", "TB(r(_0)): answers=[(a)] status=[0] comp=1"],
+        25, 48, "8e2425fdd7da5ae3ba49908e9d72266599415e0f7d74f5ec2c0e63238e7cf2fe",
+    ),
+    # s's answer is passed up to r in place; q's copy reads as f(X), so r
+    # fetches, and q's memo is passed up to p in place
+    "chain-reads-compound": (
+        ":- table p/1.\n:- table q/1.\n:- table r/1.\n:- table s/1.\np(X) :- q(X).\n"
+        "q(f(X)) :- r(X).\nr(X) :- s(X).\ns(a).\ns(b).\n", "p(X)",
+        ["(f(a))", "(f(b))"],
+        ["TB(p(_0)): answers=[(f(a)),(f(b))] status=[0] comp=1",
+         "TB(q(_0)): answers=[(f(a)),(f(b))] status=[0] comp=1",
+         "TB(r(_0)): answers=[(a),(b)] status=[0] comp=1",
+         "TB(s(_0)): answers=[(a),(b)] status=[0,0] comp=1"],
+        19, 46, "d538573bae09e0e198d943bc98137544c236e5bd14f23d5cad711f21d6de1a6b",
+    ),
+    # r's new (a) is passed up to q and p in place; p's cursor is at the
+    # older (b), which is passed on to t in place
+    "chain-takes-older-answer": (
+        ":- table t/1.\n:- table p/1.\n:- table q/1.\n:- table r/1.\nt(X) :- p(X).\n"
+        "p(X) :- q(X).\np(b).\nq(X) :- p(_), none.\nq(X) :- r(X).\nr(a).\n", "t(X)",
+        ["(b)", "(a)"],
+        ["TB(t(_0)): answers=[(b),(a)] status=[0] comp=1",
+         "TB(p(_0)): answers=[(b),(a)] status=[1,0] comp=1",
+         "TB(q(_0)): answers=[(a)] status=[1,0] comp=0", "TB(r(_0)): answers=[(a)] status=[0] comp=1"],
+        29, 58, "0a73770adcfcbe1e958b8f3d8956f6426daaf05b144c23f78d15cb9a6c66673e",
+    ),
+    # r's (a) is passed up to q and p in place, and the cut after p(X)
+    # prunes back past both links to t
+    "chain-then-cut": (
+        ":- table p/1.\n:- table q/1.\n:- table r/1.\nt(X) :- p(X), !.\nt(c).\np(X) :- q(X).\n"
+        "q(X) :- r(X).\nr(a).\nr(b).\n", "t(X)",
+        ["(a)"],
+        ["TB(p(_0)): answers=[(a)] status=[1] comp=0", "TB(q(_0)): answers=[(a)] status=[1] comp=0",
+         "TB(r(_0)): answers=[(a)] status=[1,1] comp=0"],
+        9, 25, "28f2cbdf47fd6c7536da5e96d7d71f0d213f78e6a19cea7b080c4c9da212d22b",
+    ),
 }
 OCCURS_CHECK = {"occurs_check": True}
 # name: the options a run is pinned under, if not just the defaults
@@ -770,11 +812,13 @@ PINNED_OPTIONS = {"cyclic-occurs-check": [OCCURS_CHECK]} | dict.fromkeys(
     for name in PINNED for runs in [PINNED_OPTIONS.get(name, [{}])] for options in runs])
 def test_pinned_runs(name, options):
     # ``answers`` is the list of canonical answers of a complete run, or the
-    # exception the run raises after the pinned steps and events
+    # exception the run raises after the pinned steps and events; the run
+    # without a sink must show the same run
     source, query, answers, dump, steps, n_events, sha = PINNED[name]
     events = []
     engine = TPEngine(parse_program(source), sink=events.append, **options)
-    status, got, *_ = solved(engine, query)
+    run = solved(engine, query)
+    status, got, *_ = run
     if isinstance(answers, list):
         assert (status, [format_tuple(canonicalize(a)) for a in got]) == ("complete", answers)
         assert check_stack_discipline(events) == [] and check_clause_skip(events) == []
@@ -782,6 +826,7 @@ def test_pinned_runs(name, options):
         assert status.startswith(f"{answers.__name__}: ")
     assert (engine.tables.dump(), engine._steps) == (dump, steps)
     assert digest(map(format_event, events)) == (n_events, sha)
+    assert solved(TPEngine(parse_program(source), **options), query) == run
 
 
 def test_a_deeply_nested_head_matches_without_recursion(tmp_path, capsys):
@@ -1151,6 +1196,45 @@ def test_answers_taken_in_place_are_pinned(load):
     assert [taken_in_place(untraced(*run)[1]) for run in runs] == [611, 0, 4, 3]
 
 
+def fetch_built(src, query, sink):
+    """How many nodes a run builds through ``_fetch_for``."""
+    engine = TPEngine(parse_program(src), sink=sink)
+    fetch, built = engine._fetch_for, []
+
+    def count(*args):
+        built.append(args)
+        return fetch(*args)
+
+    engine._fetch_for = count
+    solved(engine, query)
+    return len(built)
+
+
+def test_new_answers_are_passed_up_a_chain_in_place():
+    # a right cycle's new answers climb its calls' pending memo-looks: the
+    # traced run builds a node per link, the run without a sink almost none
+    right = graph_program(20, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True)
+    assert [fetch_built(right, "reach(n0,Y)", sink) for sink in ([].append, None)] == [1030, 38]
+
+
+def chained(src, query):
+    """The steps before and after each memo-look of a run without a sink
+    that passed an answer up a chain in place."""
+    engine = TPEngine(parse_program(src))
+    look, spans = engine._memo_look, []
+
+    def record(node, origin):
+        before = engine._steps
+        child = look(node, origin)
+        if engine._steps > before:
+            spans.append((before, engine._steps))
+        return child
+
+    engine._memo_look = record
+    solved(engine, query)
+    return spans
+
+
 MARKED_IN_PLACE = (":- table p/1.\n:- table q/1.\np(a).\np(b).\np(c).\n"
                    "q(d) :- p(Y).\nq(d) :- p(Y).\n")
 
@@ -1181,13 +1265,18 @@ PROJECTED_IN_PLACE = (":- table p/2.\n:- table q/1.\np(a,1).\np(a,2).\np(b,1).\n
                       "t :- p(A,B), none.\nt.\n")
 
 
+# each answer of s is passed up r, q and p to t in place, four links
+CHAINED = (":- table t/1.\n:- table p/1.\n:- table q/1.\n:- table r/1.\n:- table s/1.\n"
+           "t(X) :- p(X).\np(X) :- q(X).\nq(X) :- r(X).\nr(X) :- s(X).\ns(a).\ns(b).\ns(c).\n")
+
+
 def test_untraced_runs_stop_as_traced_runs_at_every_budget():
     # without a sink the run of answers taken in place does its own step
     # arithmetic, so at every budget it must stop where the traced run,
     # which fetches every answer, does
-    inside, skipped = [], []
+    inside, skipped, links = [], [], []
     runs = [(graph_program(n, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True), "reach(n0,Y)")
-            for n in (6, 20)] + [(PROJECTED_IN_PLACE, "t, q(X)")]
+            for n in (6, 20)] + [(PROJECTED_IN_PLACE, "t, q(X)"), (CHAINED, "t(X)")]
     for src, query in runs:
         program = parse_program(src)
         atoms, _ = parse_query(query)
@@ -1197,14 +1286,19 @@ def test_untraced_runs_stop_as_traced_runs_at_every_budget():
         list(traced.solve(atoms))
         assert sorted(watch.dumps) == list(range(traced._steps))
         _, spans = untraced(src, query, {})
+        chains = chained(src, query)
         for budget in range(1, traced._steps):
             steps, dump, where = stopped_at(TPEngine(program, step_budget=budget), atoms)
             assert (steps, dump) == (budget + 1, watch.dumps[budget])
             assert where == "solve"
             inside += [budget - before for before, after, _ in spans if before < budget < after]
+            links += [budget - before for before, after in chains if before < budget < after]
         skipped.append(sum(s for *_, s in spans))
     # budgets that run out inside a run of answers taken in place, at the
     # memo-look's step and at the call's next; the last program's runs
     # skip answers between those they take
     assert len(inside) >= 10 and {d % 2 for d in inside} == {0, 1}
-    assert skipped == [0, 0, 3]
+    assert skipped == [0, 0, 3, 0]
+    # and budgets that run out after each of the first three links of a
+    # chain that passes an answer up in place
+    assert {1, 2, 3} <= set(links)
