@@ -115,18 +115,18 @@ budget, but binds nothing and builds no node.  As nothing is bound
 or memoized meanwhile, the owner's reading of the copy stays what it was
 and the owner's table and cursor stay as they were, so the conditions of
 every later answer can be read before any is taken.  The call therefore
-scans its unconsumed answers up to the first that fails a condition,
-which is fetched, and then accounts for the whole run at once: it moves
-the cursor past the run and takes one node number and two steps per
-answer.  A goal with own variables also skips, at no step, each answer
-whose projection it has taken or fetched since the last memo, as its
-fetches would.  Only the answers whose two steps fit in the budget are
-taken; the next one that is not skipped is fetched as usual, so a budget
-that runs out stops the run in ``solve``, at the step where taking the
-answers one by one would.  A traced run fetches every answer, so each
-event is emitted at the step it records and every ``expand`` is a node the
-engine built; it shows the same answers, tables and steps, and ends with
-the same node count, as the run without a sink.
+scans its unconsumed answers up to the first that fails a condition and
+accounts for the whole run at once: it moves the cursor past the run and
+takes one node number and two steps per answer.  A goal with own
+variables takes one answer at a time, so that before each take, as before
+each fetch, its call skips the answers whose repeat can add nothing.  Only
+the answers whose two steps fit in the budget are taken, and the next one
+left is fetched as usual, so a budget that runs out stops the run in
+``solve``, at the step where taking the answers one by one would.  A
+traced run fetches every answer, so each event is emitted at the step it
+records and every ``expand`` is a node the engine built; it shows the same
+answers, tables and steps, and ends with the same node count, as the run
+without a sink.
 
 A memo-look whose owner has an unconsumed answer fetches it, and if the
 owner was its caller's last goal, the child's one step is the caller's
@@ -295,7 +295,7 @@ class Node:
         self.copy_vars: tuple[Var, ...] = ()  # a tabled call's copy's variables
         self.mark = mark  # trail length before the node's own bindings
         self.fetch_mark = -1  # memo count at the node's last fetch as an owner
-        # set from the first fetch at a memo count on, and only read then:
+        # set from the first fetch or take at a memo count on, and only read then:
         # ``done`` holds the projections of the answers passed since, up to
         # answer ``scan``, once a goal with own variables has made it; until
         # then ``scan`` is ~ the position of that fetch
@@ -463,7 +463,7 @@ class TPEngine:
                     or not (tbl.ground or _ground(stored))):
                 return self._fetch_for(node, origin, "lookup")
             # the fetch's child, and its step: the next memo-look
-            self._consume(origin)
+            self._consume(origin, 1)
             self._steps += 1
             self._next_id += 1
             origin = origin.items[1][0]
@@ -502,16 +502,13 @@ class TPEngine:
         at the current memo count."""
         _, _, regs, slots = owner.items
         call_vars = owner.call_vars
-        fetched = owner.fetch_mark == self.tables.memo_count
         if len(slots) == len(call_vars):
             # every call variable is its own: the empty projection
-            return _EMPTY, {()} if fetched else set()
+            return _EMPTY, {()}
         own = [regs[s] for s in slots]
         get = itemgetter(*[i for i, c in enumerate(call_vars) if c not in own])
         tbl = owner.table
         key = get if tbl.ground else (lambda a: canonicalize(get(a)))
-        if not fetched:
-            return key, set()
         scan = owner.scan
         if scan < 0:
             scan, owner.done = ~scan, set()
@@ -522,56 +519,41 @@ class TPEngine:
 
     def _take_in_place(self, node: Node) -> bool:
         """Take in place the run of the node's unconsumed answers that its
-        memo-look would drop, skipping those whose repeat can add nothing,
-        as the module docstring sets out, in a run without a sink; whether
-        an answer is left for ``_fetch_for``."""
+        memo-look would drop, as far as their two steps each fit in the
+        budget, in a run without a sink, as the module docstring sets out;
+        whether it took any.  A goal with own variables takes at most one,
+        so that ``_skips_repeats`` sees the next first."""
         reads = node.reads
         if reads is None:
             reads = self._reading(node)
         if reads is False:
-            return True
+            return False
         owner = node.items[1][0]
         otbl = owner.table
         if owner.answer_ptr < len(otbl.answers):
-            return True
-        # the run of answers the memo-look would drop, as far as their two
-        # steps each fit in the budget, and the answers skipped among them,
-        # which take no step
+            return False
         tbl, seen = node.table, otbl._seen
         answers, ground = tbl.answers, tbl.ground
-        key, done = self._projected(node) if len(node.items) == 4 else (None, None)
         room = (self.step_budget - self._steps) // 2
         end = node.answer_ptr
-        stop = end + room  # moved past each answer skipped
-        while end < len(answers):
+        stop = min(len(answers), end + (min(room, 1) if len(node.items) == 4 else room))
+        while end < stop:
             stored = answers[end]
-            if key is not None:
-                k = key(stored)
-                if k in done:
-                    skip = len(answers) - end if key is _EMPTY else 1
-                    end += skip
-                    stop += skip
-                    continue
-                # an answer not taken here is fetched next
-                done.add(k)
-            if end == stop or not (ground or _ground(stored)) or (
+            if not (ground or _ground(stored)) or (
                     stored if reads is True else tuple(
                         [stored[p] if type(p) is int else p for p in reads])) not in seen:
                 break
             end += 1
-        taken = room - (stop - end)
+        taken = end - node.answer_ptr
         if not taken:
-            return True
+            return False
         # per answer taken, two steps and the child's node number: the
         # child's memo-look, a duplicate with nothing for the owner to
         # fetch, so the child backtracks, and the node's next
-        node.answer_ptr = end
-        node.fetch_mark = self.tables.memo_count
-        if key is not None:
-            node.scan, node.done = end, done
+        self._consume(node, taken)
         self._steps += 2 * taken
         self._next_id += taken
-        return end < len(answers)
+        return True
 
     def _reading(self, node: Node) -> tuple | bool:
         """What the memo-look at the head of the call's continuation reads
@@ -595,12 +577,9 @@ class TPEngine:
                     break
                 v = b
             if type(v) is Var:
-                for i, c in enumerate(call_vars):
-                    if c is v:
-                        proj.append(i)
-                        break
-                else:
+                if v not in call_vars:
                     return False
+                proj.append(call_vars.index(v))
             elif _ground(v):
                 proj.append(v)
             else:
@@ -608,14 +587,15 @@ class TPEngine:
         node.reads = reads = proj == list(range(len(call_vars))) or tuple(proj)
         return reads
 
-    def _consume(self, owner: Node) -> int:
-        """Move the owner's cursor past its next unconsumed answer, which
-        the caller has checked there is; its position."""
+    def _consume(self, owner: Node, count: int) -> int:
+        """Move the owner's cursor past its next ``count`` unconsumed
+        answers, which the caller has checked there are; the first one's
+        position."""
         pos = owner.answer_ptr
-        owner.answer_ptr = pos + 1
+        owner.answer_ptr = pos + count
         memo_count = self.tables.memo_count
         if owner.fetch_mark != memo_count:
-            # the first fetch since a memo: the projections start here
+            # the first fetch or take since a memo: the projections start here
             owner.fetch_mark, owner.scan = memo_count, ~pos
         return pos
 
@@ -623,7 +603,7 @@ class TPEngine:
         """Consume the owner's next unconsumed answer, which the caller has
         checked there is, and register the continuation under ``node``."""
         tbl = owner.table
-        pos = self._consume(owner)
+        pos = self._consume(owner, 1)
         stored = tbl.answers[pos]
         if self._sink is not None:
             self._sink(event("fetch", node=owner.id, table=tbl.key, tuple=stored, pos=pos))
@@ -648,9 +628,9 @@ class TPEngine:
 
         # table first: consume answers before touching clauses; a traced
         # run fetches each, so each of its steps has its events
-        if (node.answer_ptr < len(tbl.answers) and not self._skips_repeats(node)
-                and (self._sink is not None or self._take_in_place(node))):
-            return self._fetch_for(node, node, "answer")
+        while node.answer_ptr < len(tbl.answers) and not self._skips_repeats(node):
+            if self._sink is not None or not self._take_in_place(node):
+                return self._fetch_for(node, node, "answer")
         if tbl.comp:
             return self._backtrack(node)
         if node.atom is None:

@@ -76,10 +76,6 @@ class Clause:
     ordinal: int  # 1-based position within its predicate
     label: str  # predicate name + ordinal, e.g. "reach2"
 
-    @property
-    def pred(self) -> PredKey:
-        return (self.head.functor, len(self.head.args))
-
 
 @dataclass(frozen=True, slots=True)
 class Program:

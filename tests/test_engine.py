@@ -1113,20 +1113,28 @@ def shown(src, query, options):
 
 def untraced(src, query, options):
     """``solved`` of a run without a sink, and per run of answers it took in
-    place the steps before and after and how many answers it skipped."""
+    place the steps before and after and how many answers its call skipped
+    right after it, with no step between, as ``_skips_repeats`` does
+    between the takes of a goal with own variables."""
     engine = TPEngine(parse_program(src), **options)
-    take, spans = engine._take_in_place, []
+    take, skip, spans = engine._take_in_place, engine._skips_repeats, []
 
-    def record(node):
-        before, first = engine._steps, node.answer_ptr
-        left = take(node)
-        if engine._steps > before:
-            taken = (engine._steps - before) // 2
-            spans.append((before, engine._steps, node.answer_ptr - first - taken))
+    def record_take(node):
+        before = engine._steps
+        took = take(node)
+        if took:
+            spans.append([node, before, engine._steps, 0])
+        return took
+
+    def record_skip(owner):
+        first = owner.answer_ptr
+        left = skip(owner)
+        if spans and spans[-1][0] is owner and spans[-1][2] == engine._steps:
+            spans[-1][3] += owner.answer_ptr - first
         return left
 
-    engine._take_in_place = record
-    return solved(engine, query), spans
+    engine._take_in_place, engine._skips_repeats = record_take, record_skip
+    return solved(engine, query), [tuple(span[1:]) for span in spans]
 
 
 def taken_in_place(spans):
@@ -1265,6 +1273,15 @@ PROJECTED_IN_PLACE = (":- table p/2.\n:- table q/1.\np(a,1).\np(a,2).\np(b,1).\n
                       "t :- p(A,B), none.\nt.\n")
 
 
+def test_the_skip_rule_has_one_home(monkeypatch):
+    # with the rule off, the in-place run skips nothing either: it takes or
+    # fetches every answer the traced run fetches
+    never_skip(monkeypatch)
+    for src, query, steps in ((PROJECTED_IN_PLACE, "t, q(X)", 54), (MARKED_IN_PLACE, "q(X)", 21)):
+        plain, _ = untraced(src, query, {})
+        assert (shown(src, query, {}), plain[2]) == (plain, steps)
+
+
 # each answer of s is passed up r, q and p to t in place, four links
 CHAINED = (":- table t/1.\n:- table p/1.\n:- table q/1.\n:- table r/1.\n:- table s/1.\n"
            "t(X) :- p(X).\np(X) :- q(X).\nq(X) :- r(X).\nr(X) :- s(X).\ns(a).\ns(b).\ns(c).\n")
@@ -1295,7 +1312,7 @@ def test_untraced_runs_stop_as_traced_runs_at_every_budget():
             links += [budget - before for before, after in chains if before < budget < after]
         skipped.append(sum(s for *_, s in spans))
     # budgets that run out inside a run of answers taken in place, at the
-    # memo-look's step and at the call's next; the last program's runs
+    # memo-look's step and at the call's next; the third program's calls
     # skip answers between those they take
     assert len(inside) >= 10 and {d % 2 for d in inside} == {0, 1}
     assert skipped == [0, 0, 3, 0]

@@ -156,7 +156,7 @@ def test_generated_programs_stay_inside_the_envelope(seed):
     src, query = generate_program(random.Random(seed))
     pr = parse_program(src)
     assert 1 <= len(pr.clauses) <= 12
-    assert len({c.pred[0] for c in pr.clauses}) <= 4
+    assert len({c.head.functor for c in pr.clauses}) <= 4
     for c in pr.clauses:
         assert len(c.head.args) <= 2
         assert len(c.body) <= 3
