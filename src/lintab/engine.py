@@ -136,7 +136,11 @@ each of the caller's copy variables reads as one of the owner's call
 variables or a ground term, and the child's step fits in the budget: it
 moves the owner's cursor as the fetch would, takes the child's node number
 and step, memoizes the tuple the caller's memo-look would read, built from
-the stored answer, and goes on with the caller as the owner.  The first
+the stored answer, and goes on with the caller as the owner.  Built from a
+ground answer and ground terms, the tuple is its own canonical form, so
+the link adds it to the caller's table itself: if the table does not hold
+it yet, it appends it and counts the memo, and only the empty tuple
+completes the table, as a ground tuple covers no other answer.  The first
 link that fails a condition is fetched as usual, with the continuation the
 chain has reached as the child's goal list, under the first memo-look's
 node; an owner with nothing to fetch backtracks from that node.  This is
@@ -468,8 +472,16 @@ class TPEngine:
             self._next_id += 1
             origin = origin.items[1][0]
             tbl = origin.table
-            self.tables.memo(tbl, stored if reads is True else tuple(
-                [stored[p] if type(p) is int else p for p in reads]))
+            # built from a ground answer and ground terms: its own canonical
+            # form, memoized here without a walk; only () completes a table
+            tup = stored if reads is True else tuple(
+                [stored[p] if type(p) is int else p for p in reads])
+            if tup not in tbl._seen:
+                tbl.answers.append(tup)
+                tbl._seen.add(tup)
+                self.tables.memo_count += 1
+                if not tup:
+                    tbl.comp = True
         return self._backtrack(node)
 
     def _skips_repeats(self, owner: Node) -> bool:

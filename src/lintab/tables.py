@@ -28,7 +28,11 @@ subgoal's empty tuple is the degenerate case, and the only ground answer
 that completes its table.  A table's answers are a list in derivation
 order and a set that the engine also reads, to tell whether a ground
 answer is already held, and the table keeps whether every answer is
-ground, so that the engine uses each as stored without walking it.
+ground, so that the engine uses each as stored without walking it.  The
+engine also appends ground answers itself, when it passes a new answer
+up a chain of memo-looks in place: each such tuple is its own canonical
+form, and it keeps the list, the set, the memo counter and completion as
+``memo`` would.
 """
 
 from __future__ import annotations

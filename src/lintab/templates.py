@@ -149,8 +149,8 @@ def _match(head: tuple, args: tuple, regs: list, fresh: FreshVars,
                 elif type(a) is Var:
                     theta[a] = t
                 elif type(t) is Const:
-                    if type(a) is not Const or a.name != t.name:
-                        return None
+                    # interned: a constant matches only itself, and a is not t
+                    return None
                 elif unify(a, t, occurs_check, theta) is None:
                     return None
             if not stack:

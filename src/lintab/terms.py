@@ -15,12 +15,19 @@ Canonical variables come from one series, made once per process, so equal
 canonical forms share their variables and table lookups on them end on
 identity.
 
-Hashing and equality are structural and cheap to repeat.  A variable
-hashes to its id and equals any variable with the same id; a constant
-keeps the hash of its name.  A compound computes its hash the first time
-it is hashed and keeps it.  Two compounds are equal when they are the
-same object, or have the same functor and arity, do not both carry
-different hashes, and have equal arguments pairwise.
+Constants are interned, as a Prolog machine's atom table keeps them:
+``Const(name)`` returns the one object for its name, so a constant
+hashes and compares by identity, in C, and a set or dict lookup of a
+tuple of constants calls no Python method.  The price is that the
+intern table keeps one object per distinct name the process has ever
+made, for as long as the process lives.
+
+Hashing and equality are otherwise structural and cheap to repeat.  A
+variable hashes to its id and equals any variable with the same id.  A
+compound computes its hash the first time it is hashed and keeps it.
+Two compounds are equal when they are the same object, or have the same
+functor and arity, do not both carry different hashes, and have equal
+arguments pairwise.
 
 A compound likewise works out whether it is ground the first time it is
 asked and keeps the answer, in a walk apart from the hash's, so a term
@@ -85,22 +92,28 @@ class Var:
 
 
 class Const:
-    """An atomic constant."""
+    """An atomic constant, interned: ``Const(name)`` is the one object for
+    ``name``, so constants hash and compare by identity, in C."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = hash(name)
+    def __new__(cls, name: str) -> "Const":
+        c = _CONSTS.get(name)
+        if c is None:
+            c = _CONSTS[name] = object.__new__(cls)
+            c.name = name
+        return c
 
-    def __eq__(self, other) -> bool:
-        return self is other or (type(other) is Const and other.name == self.name)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # a copy or an unpickled constant is the interned one
+        return Const, (self.name,)
 
     def __repr__(self) -> str:
         return f"Const({self.name!r})"
+
+
+# every constant the process has made, by name; never emptied
+_CONSTS: dict[str, Const] = {}
 
 
 class Struct:
@@ -233,7 +246,8 @@ def _equal_args(xs: tuple, ys: tuple) -> bool:
             elif ta is Var:
                 if a.id != b.id:
                     return False
-            elif a != b:
+            else:
+                # two constants, interned: equal only as one object
                 return False
         if not stack:
             return True
@@ -488,8 +502,8 @@ def unify(a: Term, b: Term, occurs_check: bool = False, s: Subst | None = None) 
                 return None
             s[y] = x
         elif type(x) is Const or type(y) is Const:
-            if x != y:
-                return None
+            # interned: a constant equals only itself, and x is not y
+            return None
         elif x.functor != y.functor or len(x.args) != len(y.args):
             return None
         else:

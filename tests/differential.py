@@ -16,12 +16,14 @@ canonical answers in order, its steps, its ``_next_id``, and the count and
 sha256 of ``tables.dump()`` and, when traced, of the formatted events.
 
 Each tree runs in a child process of its own, with ``PYTHONPATH=<tree>/src``
-and a 1 GB address-space limit; a run that takes more than 1 s, or runs out
-of memory, is counted as capped and left out of the comparison.  The two
-children run side by side, one per tree.  The summary line gives how many
-runs were compared, how many ended on both sides and how many were capped
-on either side; each run that ended on both sides and differs is listed
-with the fields that differ, and the exit status is then 1.
+and a 1 GB address-space limit; a run that takes more than 1 s of CPU
+time, or runs out of memory, is counted as capped and left out of the
+comparison.  The two children run side by side, one per tree.  Each run
+capped on one tree only is listed with that tree.  The summary line gives
+how many runs were compared, how many ended on both sides and how many
+were capped on either side, and on one side only; each run that ended on
+both sides and differs is listed with the fields that differ, and the exit
+status is then 1.
 
 ``--results`` judges a change that saves steps, which moves the step and
 node counts, the events, the fresh variables' ids and where the budget
@@ -133,6 +135,15 @@ def compare(old, new):
     return len(old.keys() & new.keys()), ended, capped, differ
 
 
+def capped_on_one_side(old, new):
+    """Per run capped on one tree only, in run order, that tree: "old" or
+    "new".  Such a run drops out of the comparison, so a run that differs
+    only when it is slow could go unseen."""
+    return [(run, "old" if "capped" in old[run] else "new")
+            for run in sorted(old.keys() & new.keys())
+            if ("capped" in old[run]) != ("capped" in new[run])]
+
+
 def compare_results(old, new):
     """Counts of compared, both-complete and capped runs, per run whose
     status changed the two statuses, and per run that completes on both
@@ -183,13 +194,16 @@ def main(argv=None):
         print(" ".join(map(str, run)), "differs in", ", ".join(fields))
         for f in fields:
             print(f"  {f}: {a.get(f)} -> {b.get(f)}")
-    old_only = sum("capped" in r for r in old.values())
-    new_only = sum("capped" in r for r in new.values())
+    lopsided = capped_on_one_side(old, new)
+    for run, tree in lopsided:
+        print(" ".join(map(str, run)), "capped on the", tree, "tree only")
+    on_old = sum("capped" in r for r in old.values())
+    on_new = sum("capped" in r for r in new.values())
     ends = (f"{ended} complete on both sides, {len(changed)} changed status"
             if args.results else f"{ended} ended on both sides")
     print(f"{compared} of {expected} runs compared: {ends}, "
-          f"{capped} capped on either side ({old_only} on the old tree, {new_only} on the new), "
-          f"{len(differ)} differ")
+          f"{capped} capped on either side ({on_old} on the old tree, {on_new} on the new, "
+          f"{len(lopsided)} on one side only), {len(differ)} differ")
     failed = [t for t, rc, got in ((args.old, old_rc, old), (args.new, new_rc, new))
               if rc != 0 or len(got) != expected]
     for tree in failed:

@@ -30,22 +30,24 @@ def _stop(signum, frame):
 
 
 def capped(seconds, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or ``Capped`` once ``seconds`` have passed
-    (never, for 0).  The cyclic collector could finalize an earlier run's
-    generator while a run is timed, and the stop raised inside that
-    finalizer would be swallowed, so it is off while the run is timed.  The
-    stop is returned, not raised: its traceback would hold the term being
-    walked, and a failure report that printed that term would not end."""
-    old = signal.signal(signal.SIGALRM, _stop)
+    """``fn(*args, **kwargs)``, or ``Capped`` once it has used ``seconds``
+    of the process's CPU time (never, for 0), so that which runs are capped
+    depends on the run and the machine's speed, not on its load.  The
+    cyclic collector could finalize an earlier run's generator while a run
+    is timed, and the stop raised inside that finalizer would be swallowed,
+    so it is off while the run is timed.  The stop is returned, not raised:
+    its traceback would hold the term being walked, and a failure report
+    that printed that term would not end."""
+    old = signal.signal(signal.SIGPROF, _stop)
     gc.disable()
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
     try:
         try:
             return fn(*args, **kwargs)
         finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.setitimer(signal.ITIMER_PROF, 0)
             gc.enable()
-            signal.signal(signal.SIGALRM, old)
+            signal.signal(signal.SIGPROF, old)
     except Capped:
         return Capped
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from differential import FIELDS, compare, compare_results
+from differential import FIELDS, capped_on_one_side, compare, compare_results
 from runs import Capped, capped
 
 RUN, LONE = (0, "plain", "default", "traced"), (1, "plain", "default", "traced")
@@ -46,6 +46,22 @@ def test_results_compare_what_a_step_saving_change_keeps():
         1, 1, 0, [], [(RUN, ["canonical", "dump"], done, wrong)])
 
 
+def test_runs_capped_on_one_side_only_are_listed():
+    capped_run = {"capped": "time"}
+    old = {RUN: capped_run, LONE: RECORD, (2, "plain", "default", "traced"): capped_run}
+    new = {RUN: RECORD, LONE: {"capped": "memory"}, (2, "plain", "default", "traced"): capped_run}
+    assert capped_on_one_side(old, new) == [(RUN, "old"), (LONE, "new")]
+
+
+def spin(seconds):
+    """Use ``seconds`` of CPU time."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
 def test_the_cap_returns_capped_and_leaves_the_collector_on():
-    assert capped(0.05, time.sleep, 1) is Capped
+    assert capped(0.05, spin, 2) is Capped
     assert gc.isenabled()
+    # the cap counts CPU time: a run that waits is not stopped
+    assert capped(0.05, time.sleep, 0.2) is None

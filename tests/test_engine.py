@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from lintab.cli import EXIT_OK, main
 from lintab.engine import DEFAULT_STEP_BUDGET, StepBudgetExceeded, TPEngine, _compile, tp_solve
 from lintab.oracle import bottomup_solve, constants_of, generate_program, ground_expand, sld_solve
 from lintab.program import Program, parse_program, parse_query
+from lintab.tables import TableStore
 from lintab.terms import (
     Const,
     CyclicTermError,
@@ -26,7 +28,7 @@ from lintab.terms import (
 )
 from lintab.trace import format_event
 from rewrites import with_cuts, with_functions, with_var_heads
-from runs import MODES, Capped, capped, digest, reach_program, solved, sweep
+from runs import MODES, Capped, capped, digest, graphs, reach_program, solved, sweep
 from tracecheck import check_clause_skip, check_stack_discipline
 
 
@@ -1182,6 +1184,15 @@ def test_sweep_variants_show_the_same_run_with_the_path_off(options):
     assert len(both) >= 190 and taken > 0
 
 
+def test_every_plain_sweep_program_and_graph_shows_the_same_run_with_the_path_off():
+    # at the default budget: a take or chain link that reads a cursor before
+    # ``_skips_repeats`` has moved it can pass every smaller check
+    programs = list(chain(sweep(range(500), ["plain"]), graphs()))
+    traced, plain, taken = traced_and_untraced([(src, query, {}) for _, _, src, query in programs])
+    differ = [f"{key} {name}" for (key, name, _, _), a, b in zip(programs, traced, plain) if a != b]
+    assert differ == [] and taken > 0
+
+
 def stopped_at(engine, atoms):
     """The steps and tables of a run that hits its budget, and the method
     the budget stops it in."""
@@ -1218,11 +1229,29 @@ def fetch_built(src, query, sink):
     return len(built)
 
 
-def test_new_answers_are_passed_up_a_chain_in_place():
+def test_new_answers_are_passed_up_a_chain_in_place(monkeypatch):
     # a right cycle's new answers climb its calls' pending memo-looks: the
     # traced run builds a node per link, the run without a sink almost none
     right = graph_program(20, "reach(X,Y) :- edge(X,Z), reach(Z,Y).", True)
     assert [fetch_built(right, "reach(n0,Y)", sink) for sink in ([].append, None)] == [1030, 38]
+    # a link memoizes its ground tuple itself, so only a memo-look's own
+    # memo goes through the store (419 when the links did too)
+    engine, calls = TPEngine(parse_program(right)), {"memo": 0, "look": 0}
+    memo, look = TableStore.memo, engine._memo_look
+
+    def count_memo(store, table, answer):
+        calls["memo"] += 1
+        return memo(store, table, answer)
+
+    def count_look(node, origin):
+        calls["look"] += 1
+        return look(node, origin)
+
+    monkeypatch.setattr(TableStore, "memo", count_memo)
+    engine._memo_look = count_look
+    assert solved(engine, "reach(n0,Y)")[2:4] == (1940, 1171)
+    assert calls == {"memo": 38, "look": 38}
+    assert all(t.ground for t in engine.tables.tables.values())
 
 
 def chained(src, query):

@@ -1,7 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from lintab.program import CUT
+import lintab.program
+from lintab.engine import TPEngine
+from lintab.oracle import bottomup_solve
+from lintab.program import CUT, parse_program, parse_query
 from lintab.terms import (
     Const,
     CyclicTermError,
@@ -35,6 +41,33 @@ def test_var_identity_is_id_only():
     assert Var(3, "X") == Var(3, "Y")
     assert hash(Var(3, "X")) == hash(Var(3, "Y"))
     assert Var(3, "X") != Var(4, "X")
+
+
+def test_constants_are_interned_and_compared_by_identity(monkeypatch):
+    assert Const("a") is Const("a") is a and Const("a") is not Const("b")
+    assert Const.__hash__ is object.__hash__ and Const.__eq__ is object.__eq__
+    # a copy, or a constant read back from a pickle, is the interned object
+    assert copy.deepcopy(p(a)).args[0] is a and pickle.loads(pickle.dumps(a)) is a
+    # a program and a query parsed apart share their constants, and a parse
+    # makes one Const call per distinct name
+    made = []
+
+    def const(name):
+        made.append(name)
+        return Const(name)
+
+    monkeypatch.setattr(lintab.program, "Const", const)
+    program = parse_program("e(a,b).\ne(b,c).\ne(c,a).\nq(1,a).\n")
+    assert sorted(made) == ["1", "a", "b", "c"]
+    atoms, _ = parse_query("e(a,X), q(1,Y)")
+    assert atoms[0].args[0] is program.clauses[0].head.args[0]
+    # the engine's answers are found among the oracle's, whose constants
+    # it makes from names
+    source = ":- table r/2.\nr(X,Y) :- e(X,Y).\nr(X,Y) :- e(X,Z), r(Z,Y).\ne(a,b).\ne(b,c).\n"
+    atoms, _ = parse_query("r(X,Y)")
+    engine, oracle = list(TPEngine(parse_program(source)).solve(atoms)), set(
+        bottomup_solve(parse_program(source), atoms).answers)
+    assert len(engine) == 3 and all(tup in oracle for tup in engine)
 
 
 def test_format_term():
